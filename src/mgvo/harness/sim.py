@@ -230,7 +230,8 @@ class SimVO:
                             "duplicate": body["duplicate"]})
         return body["gfid"], body["duplicate"]
 
-    def query_body(self, site_id: str, text: str) -> dict:
+    def _query(self, site_id: str, text: str):
+        """(answer body, its decoded result set); logs the query event."""
         body = self._call(self._addr(site_id), "Query", {"query": text})
         xml = body["resultset_xml"]
         rs = federation.from_xml(xml)
@@ -240,13 +241,16 @@ class SimVO:
             self.last_job_id = body["job_id"]
             detail["job_id"] = body["job_id"]
         self._event("query", detail)
-        return body
+        return body, rs
+
+    def query_body(self, site_id: str, text: str) -> dict:
+        return self._query(site_id, text)[0]
 
     def query_xml(self, site_id: str, text: str) -> str:
         return self.query_body(site_id, text)["resultset_xml"]
 
     def query(self, site_id: str, text: str):
-        return federation.from_xml(self.query_body(site_id, text)["resultset_xml"])
+        return self._query(site_id, text)[1]
 
     def algo_add(self, site_id: str, algo_id: str, kind: str,
                  params: Optional[dict] = None) -> None:
@@ -450,7 +454,8 @@ class RealVO:
                             "duplicate": body["duplicate"]})
         return body["gfid"], body["duplicate"]
 
-    def query_body(self, site_id: str, text: str) -> dict:
+    def _query(self, site_id: str, text: str):
+        """(answer body, its decoded result set); logs the query event."""
         body = self._call(self._addr(site_id), "Query", {"query": text},
                           timeout_ms=60_000)
         xml = body["resultset_xml"]
@@ -461,13 +466,16 @@ class RealVO:
             self.last_job_id = body["job_id"]
             detail["job_id"] = body["job_id"]
         self._event("query", detail)
-        return body
+        return body, rs
+
+    def query_body(self, site_id: str, text: str) -> dict:
+        return self._query(site_id, text)[0]
 
     def query_xml(self, site_id: str, text: str) -> str:
         return self.query_body(site_id, text)["resultset_xml"]
 
     def query(self, site_id: str, text: str):
-        return federation.from_xml(self.query_body(site_id, text)["resultset_xml"])
+        return self._query(site_id, text)[1]
 
     def algo_add(self, site_id: str, algo_id: str, kind: str,
                  params: Optional[dict] = None) -> None:

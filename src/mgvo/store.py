@@ -3,8 +3,10 @@
 Blobs live under ``data_dir/blobs/<first 2 hex>/<sha256>`` and are verified on
 every read. Metadata records (patients, images, derived results, annotations,
 jobs) are appended to ``data_dir/meta.log`` as length-prefixed JSON and the
-whole index is rebuilt by replaying the log at startup; a truncated tail
-(crash mid-append) is tolerated. One writer, many readers: a single lock
+whole index is rebuilt by replaying the log at startup. A torn tail (crash
+mid-append) is cut off; a whole record that does not decode raises
+``IntegrityError``. Memory holds only the latest derived record per image and
+kind; older versions stay in the log. One writer, many readers: a single lock
 serializes mutations, and scans build their row list under it so concurrent
 writes are invisible mid-scan.
 """
@@ -49,6 +51,27 @@ class SiteStats:
     blob_storage_size_bytes: int
 
 
+def _frames(data: bytes):
+    """(kind, record, end offset) of each whole frame of a log, in order.
+
+    Stops at a torn tail: a frame, or a length prefix, cut short by an
+    interrupted append. A whole frame that does not decode is corruption.
+    """
+    pos = 0
+    while pos + 4 <= len(data):
+        (length,) = _LEN.unpack_from(data, pos)
+        end = pos + 4 + length
+        if end > len(data):
+            return
+        try:
+            entry = json.loads(data[pos + 4 : end])
+            kind, rec = entry["t"], entry["rec"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise IntegrityError(f"log record at byte {pos} does not decode: {exc}") from None
+        yield kind, rec, end
+        pos = end
+
+
 class SiteStore:
     def __init__(self, data_dir) -> None:
         self.data_dir = Path(data_dir)
@@ -59,7 +82,7 @@ class SiteStore:
 
         self._patients: dict[str, PatientRecord] = {}
         self._images: dict[int, ImageRecord] = {}
-        self._derived: dict[int, DerivedRecord] = {}
+        self._num_derived = 0
         self._latest: dict[tuple[int, str], DerivedRecord] = {}
         self._annotations: dict[int, AnnotationRecord] = {}
         self._notes_by_image: dict[int, list[int]] = {}
@@ -126,17 +149,22 @@ class SiteStore:
             raise IoFailure(f"appending to {self._log_path}: {exc}") from exc
 
     def _replay(self) -> None:
+        """Rebuild the index from the log, cutting off a torn tail.
+
+        The tail must go before the log reopens for append: a frame appended
+        behind it would be read as the rest of the torn one.
+        """
         if not self._log_path.exists():
             return
         data = self._log_path.read_bytes()
-        pos = 0
-        while pos + 4 <= len(data):
-            (length,) = _LEN.unpack_from(data, pos)
-            if pos + 4 + length > len(data):
-                break  # torn tail from an interrupted append
-            entry = json.loads(data[pos + 4 : pos + 4 + length])
-            self._apply(entry["t"], entry["rec"])
-            pos += 4 + length
+        good = 0  # the end of the last whole frame
+        for kind, rec, good in _frames(data):
+            self._apply(kind, rec)
+        if good < len(data):
+            try:
+                os.truncate(self._log_path, good)
+            except OSError as exc:
+                raise IoFailure(f"cutting the torn tail of {self._log_path}: {exc}") from exc
 
     def _apply(self, kind: str, rec: dict) -> None:
         if kind == "patient":
@@ -150,7 +178,7 @@ class SiteStore:
             self._next_image = max(self._next_image, image.local_id + 1)
         elif kind == "derived":
             derived = DerivedRecord(**rec)
-            self._derived[derived.local_id] = derived
+            self._num_derived += 1
             self._latest[(derived.image_local_id, derived.kind)] = derived
             self._next_derived = max(self._next_derived, derived.local_id + 1)
         elif kind == "annotation":
@@ -194,7 +222,7 @@ class SiteStore:
             derived.local_id = self._next_derived
             derived.validate()
             self._append("derived", asdict(derived))
-            self._derived[derived.local_id] = derived
+            self._num_derived += 1
             self._latest[(derived.image_local_id, derived.kind)] = derived
             self._next_derived += 1
             return derived.local_id
@@ -241,9 +269,12 @@ class SiteStore:
             return self._latest.get((image_local_id, kind))
 
     def derived_history(self, image_local_id: int, kind: str) -> list[DerivedRecord]:
+        """Every version of one image's derived record, oldest first, read from the log."""
         with self._lock:
-            return [d for d in self._derived.values()
-                    if d.image_local_id == image_local_id and d.kind == kind]
+            data = self._log_path.read_bytes()
+        return [DerivedRecord(**rec) for entry_kind, rec, _ in _frames(data)
+                if entry_kind == "derived" and rec["image_local_id"] == image_local_id
+                and rec["kind"] == kind]
 
     def annotations_for_image(self, image_local_id: int) -> list[AnnotationRecord]:
         with self._lock:
@@ -253,11 +284,16 @@ class SiteStore:
     # --- jobs --------------------------------------------------------------------
 
     def upsert_job(self, job: dict) -> None:
+        """Log a job's latest state; the node owns the live record."""
         with self._lock:
             self._append("job", job)
-            self._jobs[job["job_id"]] = job
 
     def jobs(self) -> dict[str, dict]:
+        """The latest logged state of each job as of opening the store.
+
+        For the node to rebuild its jobs at boot; ``upsert_job`` calls made
+        since are in the log but not in this map.
+        """
         with self._lock:
             return dict(self._jobs)
 
@@ -334,7 +370,7 @@ class SiteStore:
             return SiteStats(
                 num_patients=len(self._patients),
                 num_image_files=len(self._images),
-                num_derived_files=len(self._derived),
+                num_derived_files=self._num_derived,
                 metadata_size_bytes=meta_size,
                 blob_storage_size_bytes=self._blob_bytes,
             )

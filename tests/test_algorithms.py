@@ -17,6 +17,7 @@ from mgvo.errors import (
     RemoteError,
     UnknownPluginKind,
 )
+from mgvo.harness import corpus
 from mgvo.harness.config import parse_topology
 from mgvo.harness.sim import SimVO
 from mgvo.model import PatientRecord, ImageRecord
@@ -175,6 +176,136 @@ def test_microcalc_area_filters():
         alg.plugin_microcalc(img, {"threshold": 100, "min_area": 5, "max_area": 2})
     count, boxes = alg.plugin_microcalc(np.zeros((4, 4), np.uint8), {"threshold": 0})
     assert count == 0 and boxes == []
+
+
+# --- the run labeller against references ----------------------------------------------
+
+def flood_fill(mask):
+    """Reference labelling: a pixel-by-pixel 8-connected flood fill.
+
+    Same contract as ``alg._components``: (area, (x0, y0, x1, y1)) per
+    component, in the row-major order of each component's first pixel.
+    """
+    height, width = mask.shape
+    seen = np.zeros(mask.shape, dtype=bool)
+    found = []
+    for y, x in np.argwhere(mask):
+        if seen[y, x]:
+            continue
+        seen[y, x] = True
+        stack = [(int(y), int(x))]
+        area = 0
+        min_y = max_y = int(y)
+        min_x = max_x = int(x)
+        while stack:
+            cy, cx = stack.pop()
+            area += 1
+            min_y, max_y = min(min_y, cy), max(max_y, cy)
+            min_x, max_x = min(min_x, cx), max(max_x, cx)
+            for ny in range(max(cy - 1, 0), min(cy + 2, height)):
+                for nx in range(max(cx - 1, 0), min(cx + 2, width)):
+                    if mask[ny, nx] and not seen[ny, nx]:
+                        seen[ny, nx] = True
+                        stack.append((ny, nx))
+        found.append((area, (min_x, min_y, max_x + 1, max_y + 1)))
+    return found
+
+
+def assert_labels_match(pixels, threshold):
+    """The labeller and plugin_microcalc agree with the flood fill exactly."""
+    mask = pixels > threshold
+    want = flood_fill(mask)
+    assert alg._components(mask) == want
+    for lo, hi in ((1, 64), (1, max(pixels.size, 1)), (3, 10)):
+        boxes = [box for area, box in want if lo <= area <= hi]
+        boxes.sort(key=lambda b: (b[1], b[0]))
+        params = {"threshold": threshold, "min_area": lo, "max_area": hi}
+        assert alg.plugin_microcalc(pixels, params) == (len(boxes), boxes)
+
+
+def comb(teeth_down: int, width: int) -> np.ndarray:
+    """A spine along the top row with a one-pixel tooth under every other column."""
+    mask = np.zeros((teeth_down + 1, width), dtype=bool)
+    mask[0, :] = True
+    mask[:, ::2] = True
+    return mask
+
+
+def serpentine(height: int, width: int) -> np.ndarray:
+    """Full rows joined alternately at the right and the left end: one long path."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2, :] = True
+    for i, row in enumerate(range(1, height, 2)):
+        mask[row, -1 if i % 2 == 0 else 0] = True
+    return mask
+
+
+def test_labeller_matches_flood_fill_on_random_masks():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        height, width = (int(v) for v in rng.integers(1, 48, 2))
+        pixels = (rng.random((height, width)) * 256).astype(np.uint8)
+        assert_labels_match(pixels, int(rng.integers(0, 256)))
+
+
+def test_labeller_matches_flood_fill_on_corpus_images():
+    manifest, files = corpus.gen_corpus(5, 12, 1)
+    for entry in manifest["files"]:
+        pixels = alg.decode_pixels(files[entry["filename"]])
+        for threshold in (100, 150, 200):
+            assert_labels_match(pixels, threshold)
+
+
+def test_labeller_matches_flood_fill_on_edge_shapes():
+    checker = (np.indices((33, 31)).sum(axis=0) % 2 == 0)  # joined only diagonally
+    masks = [
+        np.zeros((9, 7), dtype=bool),
+        np.ones((9, 7), dtype=bool),
+        np.ones((1, 1), dtype=bool),
+        checker,
+        ~checker,
+        comb(40, 41),
+        comb(40, 41)[::-1],
+        comb(40, 41).T,
+        serpentine(41, 30),
+        serpentine(41, 30).T,
+        serpentine(41, 30)[:, ::-1],
+    ]
+    rng = np.random.default_rng(3)
+    for length in (1, 2, 57):
+        line = rng.random((1, length)) < 0.5
+        masks += [line, line.T, np.ones((1, length), bool), np.ones((length, 1), bool)]
+    for mask in masks:
+        assert_labels_match(mask.astype(np.uint8) * 255, 0)
+
+    assert alg._components(checker) == [(checker.sum(), (0, 0, 31, 33))]
+    assert len(alg._components(serpentine(201, 50))) == 1
+    assert alg._components(np.zeros((0, 5), dtype=bool)) == []
+
+
+def test_labeller_matches_flood_fill_on_16_bit_images():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pixels = rng.integers(0, 65536, size=(40, 37), dtype=np.uint16)
+        assert_labels_match(pixels, int(rng.integers(30000, 65536)))
+    wide = np.zeros((6, 6), dtype="<u2")
+    wide[1:3, 1:3] = 60000
+    wide[4, 4] = 300  # above an 8-bit range, below the threshold
+    assert alg.plugin_microcalc(wide, {"threshold": 40000}) == (1, [(1, 1, 3, 3)])
+
+
+def test_labeller_matches_scipy_label():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(13)
+    masks = [rng.random((int(h), int(w))) < rng.random()
+             for h, w in rng.integers(1, 80, size=(100, 2))]
+    masks += [comb(60, 61), serpentine(61, 40).T]
+    for mask in masks:
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3)))
+        areas = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+        want = [(int(area), (cols.start, rows.start, cols.stop, rows.stop))
+                for area, (rows, cols) in zip(areas, ndimage.find_objects(labels))]
+        assert alg._components(mask) == want
 
 
 def test_decode_pixels_8_and_16_bit():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mgvo import cli, dicom
+from mgvo import cli, dicom, federation
 from mgvo.errors import BadParams, BadValue
 from mgvo.harness import config as cfg
 from mgvo.harness import corpus, oracle
@@ -312,6 +312,29 @@ def test_sim_net_counters_match_frames(tmp_path):
     for (endpoint, direction), count in vo.net.counters.items():
         have = sent if direction == "sent" else recv
         assert have.get(endpoint, 0) == count
+
+
+def test_sim_query_decodes_the_answer_once(tmp_path, monkeypatch):
+    decoded = []
+    real = federation.from_xml
+
+    def counting(xml):
+        decoded.append(xml)
+        return real(xml)
+
+    manifest, files = corpus.gen_corpus(6, 4, 1, rows=32, cols=32)
+    vo = SimVO(TOPOLOGY, tmp_path / "vo")
+    vo.login("alice", "alice-pw")
+    for site, items in corpus_split(manifest, files, ["site_a", "site_b"]).items():
+        for _filename, data in items:
+            vo.add(site, data)
+    monkeypatch.setattr(federation, "from_xml", counting)
+    rs = vo.query("site_a", "SELECT images WHERE patient.age > 0")
+    answer = vo.query_xml("site_a", "SELECT images WHERE patient.age > 0")
+    assert rs == real(answer)
+    # per query: the gateway's remote part, then the client's answer once
+    assert len(decoded) == 4
+    assert decoded.count(answer) == 2
 
 
 def test_sim_latency_advances_virtual_time(tmp_path):

@@ -206,6 +206,96 @@ def test_torn_tail_is_dropped_on_replay(tmp_path):
     cut.close()
 
 
+PID3 = "00000000000000aa"
+
+
+def patients_in(store, pids=(PID, PID2, PID3)):
+    found = []
+    for pid in pids:
+        try:
+            found.append(store.patient(pid).pid)
+        except UnknownPatient:
+            pass
+    return found
+
+
+@pytest.mark.parametrize("declared", [20, 5000])
+def test_appends_after_a_torn_tail_survive_reopen(tmp_path, declared):
+    store = SiteStore(tmp_path)
+    store.upsert_patient(make_patient())
+    store.close()
+    log = tmp_path / "meta.log"
+    log.write_bytes(log.read_bytes() + declared.to_bytes(4, "big") + b'{"t":"pat')
+
+    again = SiteStore(tmp_path)
+    again.upsert_patient(make_patient(pid=PID2, sex="M"))
+    again.upsert_patient(make_patient(pid=PID3))
+    again.close()
+
+    last = SiteStore(tmp_path)
+    assert patients_in(last) == [PID, PID2, PID3]
+    last.close()
+
+
+@pytest.mark.parametrize("payload", [b"not json", b'["t", "rec"]', b'{"rec": {}}',
+                                     b"\xff\xfe{}"])
+def test_undecodable_whole_record_is_integrity_error(tmp_path, payload):
+    store = SiteStore(tmp_path)
+    store.upsert_patient(make_patient())
+    store.close()
+    log = tmp_path / "meta.log"
+    log.write_bytes(log.read_bytes() + len(payload).to_bytes(4, "big") + payload)
+    with pytest.raises(IntegrityError):
+        SiteStore(tmp_path)
+
+
+def test_reopen_after_a_crash_at_every_byte(tmp_path):
+    """Cut a session's log anywhere: reopen, append and reopen keep a prefix."""
+    store = SiteStore(tmp_path)
+    job = {"job_id": "J1", "state": "COMPLETED"}
+    steps = [
+        lambda: store.upsert_patient(make_patient()),
+        lambda: store.insert_image(make_image(store)),
+        lambda: store.insert_derived(DerivedRecord(0, 1, "smf", {"density_pct": 9.5}, "a-v1")),
+        lambda: store.upsert_job(job),
+        lambda: store.upsert_patient(make_patient(pid=PID2, sex="M")),
+    ]
+    # the state after each whole record; jobs() shows jobs as of opening
+    expected = [([], [], {}, 0)]
+    for i, step in enumerate(steps, 1):
+        step()
+        jobs = {"J1": job} if i >= 4 else {}
+        expected.append((store.dump_rows(), patients_in(store), jobs,
+                         store.site_stats().num_derived_files))
+    store.close()
+
+    log = tmp_path / "meta.log"
+    full = log.read_bytes()
+    ends, pos = [], 0
+    while pos < len(full):
+        pos += 4 + int.from_bytes(full[pos:pos + 4], "big")
+        ends.append(pos)
+    assert len(ends) == len(steps) and pos == len(full)
+
+    def state(store):
+        return (store.dump_rows(), patients_in(store), store.jobs(),
+                store.site_stats().num_derived_files)
+
+    for cut in range(len(full) + 1):
+        whole = sum(1 for end in ends if end <= cut)
+        log.write_bytes(full[:cut])
+        reopened = SiteStore(tmp_path)
+        assert state(reopened) == expected[whole], cut
+        reopened.upsert_patient(make_patient(pid=PID3))
+        reopened.close()
+
+        rows, pids, jobs, derived = expected[whole]
+        last = SiteStore(tmp_path)
+        assert state(last) == (rows, pids + [PID3], jobs, derived), cut
+        assert log.read_bytes().startswith(full[:ends[whole - 1] if whole else 0])
+        last.close()
+
+
 def test_site_stats_counts(tmp_path):
     store = SiteStore(tmp_path)
     store.upsert_patient(make_patient())
