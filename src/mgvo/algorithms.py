@@ -166,17 +166,17 @@ def plugin_normalize(pixels: np.ndarray, params: dict) -> np.ndarray:
     return np.clip(np.rint(scaled), 0, top).astype(pixels.dtype)
 
 
-def _components(mask: np.ndarray) -> list:
-    """8-connected components of a boolean mask: (area, (x0, y0, x1, y1)).
+def _component_arrays(mask: np.ndarray) -> tuple:
+    """8-connected components of a boolean mask as arrays area, x0, y0, x1, y1.
 
-    Components come in the row-major order of their first pixel. This is
-    two-pass labelling over horizontal runs (Wu, Otoo & Suzuki, PAA 2009):
-    runs in adjacent rows whose column spans overlap or meet diagonally are
-    joined. Each round, every root hooks onto its smallest neighbouring root
-    and pointer jumping flattens the trees, so a long component costs a few
-    rounds of log-depth jumps, not one step per run as label propagation
-    would. Hooks only point to smaller runs, so a component's root is its
-    first run in row-major order.
+    Boxes are half-open, and components come in the row-major order of
+    their first pixel. This is two-pass labelling over horizontal runs
+    (Wu, Otoo & Suzuki, PAA 2009): runs in adjacent rows whose column spans
+    overlap or meet diagonally are joined. Each round, every root hooks onto
+    its smallest neighbouring root and pointer jumping flattens the trees,
+    so a long component costs a few rounds of log-depth jumps, not one step
+    per run as label propagation would. Hooks only point to smaller runs, so
+    a component's root is its first run in row-major order.
     """
     height, width = mask.shape
     padded = np.zeros((height, width + 2), dtype=np.int8)
@@ -185,7 +185,7 @@ def _components(mask: np.ndarray) -> list:
     rows, starts = np.nonzero(step == 1)  # runs, in row-major order
     ends = np.nonzero(step == -1)[1]  # exclusive
     if rows.size == 0:
-        return []
+        return (np.zeros(0, dtype=np.int64),) * 5
 
     # Keyed by row * stride + column, run starts and run ends each sort
     # across rows. A run touches the runs of the row above whose end is at
@@ -221,8 +221,13 @@ def _components(mask: np.ndarray) -> list:
     np.maximum.at(x1, label, ends)
     y1 = y0.copy()
     np.maximum.at(y1, label, rows)
-    boxes = zip(x0.tolist(), y0.tolist(), x1.tolist(), (y1 + 1).tolist())
-    return list(zip(area.tolist(), boxes))
+    return area, x0, y0, x1, y1 + 1
+
+
+def _components(mask: np.ndarray) -> list:
+    """``_component_arrays`` as a list of (area, (x0, y0, x1, y1))."""
+    area, *box = _component_arrays(mask)
+    return list(zip(area.tolist(), zip(*(a.tolist() for a in box))))
 
 
 def plugin_microcalc(pixels: np.ndarray, params: dict):
@@ -234,9 +239,11 @@ def plugin_microcalc(pixels: np.ndarray, params: dict):
     max_area = params.get("max_area", 64)
     if min_area > max_area:
         raise BadParams(f"min_area {min_area} exceeds max_area {max_area}")
-    boxes = [box for area, box in _components(pixels > threshold)
-             if min_area <= area <= max_area]
-    boxes.sort(key=lambda b: (b[1], b[0]))
+    area, *box = _component_arrays(pixels > threshold)
+    keep = (area >= min_area) & (area <= max_area)
+    x0, y0, x1, y1 = (a[keep] for a in box)
+    order = np.lexsort((x0, y0))  # stable, like sorting boxes by (y0, x0)
+    boxes = list(zip(*(a[order].tolist() for a in (x0, y0, x1, y1))))
     return len(boxes), boxes
 
 

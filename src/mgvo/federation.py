@@ -6,8 +6,19 @@ each part executes against that site's store only, and the partial result
 sets are merged into one canonically-ordered set. Sites that fail to answer
 are recorded as ``missing`` entries instead of poisoning the merge.
 
-The interchange form is a small XML dialect (UTF-8, no namespaces, the five
-standard entity escapes, attribute order fixed)::
+A peer answers the submitting node with its part in a compact node-to-node
+form, carried in a JSON frame (see ``to_part``)::
+
+    {"target": "images", "columns": ["patient.id", ...],
+     "rows": [["udine:42", "a1b2c3d4e5f60718", ...], ...]}
+
+Each row is ``[row_id, *values]``, all strings, in canonical order. The
+parts are disjoint per site and each is already ordered, so the merge
+orders them by site and concatenates them.
+
+XML is the client-facing dialect only: the submitting node writes the
+merged answer once, and clients read it. UTF-8, no namespaces, the five
+standard entity escapes, attribute order fixed::
 
     <resultset target="images" complete="false">
       <row site="udine" id="udine:42">
@@ -28,7 +39,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import mgql
-from .errors import ColumnMismatch, MalformedXml, MgError, SchemaViolation, UnknownSite
+from .errors import (ColumnMismatch, InvariantViolation, MalformedXml, MgError,
+                     SchemaViolation, UnknownSite)
 from .model import format_gfid, parse_gfid
 from .mgql import And, Expr, Not, Or, Pred, Query
 
@@ -181,8 +193,10 @@ def execute_local(store: "SiteStore", site_id: str, query: Query) -> ResultSet:
 
 def merge(parts: Sequence[ResultSet], failed: Sequence = (),
           target: Optional[str] = None) -> ResultSet:
-    """Combine partial results; failures become ``missing`` entries.
+    """Combine per-site parts; failures become ``missing`` entries.
 
+    Each part holds the rows of one site, already in canonical order, so
+    the parts are ordered by site and concatenated; no row is sorted.
     Rowless parts cannot disagree on columns (the XML form drops them), so
     the canonical column list comes from the first part that has rows.
     """
@@ -204,10 +218,19 @@ def merge(parts: Sequence[ResultSet], failed: Sequence = (),
     if not columns and parts:
         columns = parts[0].columns
 
-    rows = sorted((r for part in parts for r in part.rows),
-                  key=lambda r: row_sort_key(target, r))
+    by_site = {}
+    for part in parts:
+        if not part.rows:
+            continue
+        site = part.rows[0].site_id
+        if any(row.site_id != site for row in part.rows):
+            raise InvariantViolation(f"a part mixes rows of {site!r} and other sites")
+        if site in by_site:
+            raise InvariantViolation(f"two parts from site {site!r}")
+        by_site[site] = part.rows
+    rows = tuple(row for site in sorted(by_site) for row in by_site[site])
     missing = tuple(sorted(failed))
-    return ResultSet(target, columns, tuple(rows), not missing, missing)
+    return ResultSet(target, columns, rows, not missing, missing)
 
 
 # --- XML dialect ------------------------------------------------------------------
@@ -242,6 +265,18 @@ def _require(condition: bool, what: str) -> None:
         raise SchemaViolation(what)
 
 
+def _checked_key(target: str, site: str, row_id: str) -> tuple:
+    """``row_sort_key`` of a decoded row; an image row id must be a gfid of ``site``."""
+    if target != "images":
+        return (site, row_id)
+    try:
+        gfid = parse_gfid(row_id)
+    except MgError as exc:
+        raise SchemaViolation(f"bad row id {row_id!r}: {exc}") from exc
+    _require(gfid.site_id == site, f"row id {row_id!r} contradicts site {site!r}")
+    return (site, gfid.local_id)
+
+
 def from_xml(data) -> ResultSet:
     try:
         root = ET.fromstring(data)
@@ -256,6 +291,7 @@ def from_xml(data) -> ResultSet:
 
     columns: Optional[tuple] = None
     rows = []
+    keys = []
     missing = []
     for child in root:
         if child.tag == "row":
@@ -273,12 +309,7 @@ def from_xml(data) -> ResultSet:
                 columns = tuple(names)
             else:
                 _require(tuple(names) == columns, "rows disagree on column names")
-            if target == "images":
-                try:
-                    gfid = parse_gfid(row_id)
-                except MgError as exc:
-                    raise SchemaViolation(f"bad row id {row_id!r}: {exc}") from exc
-                _require(gfid.site_id == site, f"row id {row_id!r} contradicts site {site!r}")
+            keys.append(_checked_key(target, site, row_id))
             rows.append(ResultRow(site, row_id, tuple(values)))
         elif child.tag == "missing":
             site = child.get("site")
@@ -288,9 +319,45 @@ def from_xml(data) -> ResultSet:
         else:
             raise SchemaViolation(f"unexpected element {child.tag!r}")
 
-    keys = [row_sort_key(target, r) for r in rows]
     _require(all(a < b for a, b in zip(keys, keys[1:])), "rows not strictly ordered")
     _require(missing == sorted(missing), "missing entries not ordered")
     complete = complete_text == "true"
     _require(complete == (not missing), "complete flag contradicts missing entries")
     return ResultSet(target, columns or (), tuple(rows), complete, tuple(missing))
+
+
+# --- node-to-node parts -------------------------------------------------------------
+
+def to_part(rs: ResultSet) -> dict:
+    """One site's part in the node-to-node form: rows as ``[row_id, *values]``."""
+    return {"target": rs.target, "columns": list(rs.columns),
+            "rows": [[row.row_id, *row.values] for row in rs.rows]}
+
+
+def from_part(body, site_id: str, target: str) -> ResultSet:
+    """Decode the part ``site_id`` answered for a subquery on ``target``.
+
+    Makes the structural checks ``from_xml`` makes; any failure raises
+    SchemaViolation. The rows must carry the canonical columns, each cell a
+    string, each image row id a gfid of ``site_id``, in strict
+    ``row_sort_key`` order.
+    """
+    _require(isinstance(body, dict), "part is not an object")
+    _require(body.get("target") == target,
+             f"part target {body.get('target')!r} is not {target!r}")
+    columns, rows = body.get("columns"), body.get("rows")
+    _require(isinstance(columns, list) and isinstance(rows, list), "part lacks columns/rows")
+    canonical = IMAGE_COLUMNS if target == "images" else PATIENT_COLUMNS
+    _require(tuple(columns) == canonical or not (columns or rows),
+             f"part columns {columns!r} are not the {target} columns")
+
+    width = len(canonical) + 1
+    out, keys = [], []
+    for row in rows:
+        _require(isinstance(row, list) and len(row) == width
+                 and all(isinstance(cell, str) for cell in row),
+                 f"part row is not {width} strings")
+        keys.append(_checked_key(target, site_id, row[0]))
+        out.append(ResultRow(site_id, row[0], tuple(row[1:])))
+    _require(all(a < b for a, b in zip(keys, keys[1:])), "rows not strictly ordered")
+    return ResultSet(target, tuple(columns), tuple(out), True, ())

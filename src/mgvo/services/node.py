@@ -222,7 +222,7 @@ class Node:
             if existing is not None:
                 return {"gfid": str(GlobalFileId(self.site_id, existing)),
                         "duplicate": True}
-            blob = self.store.put_blob(anonymized)
+            blob = self.store.put_blob(anonymized, sha)
             self.store.upsert_patient(patient)
             local_id = self.store.insert_image(ImageRecord(
                 local_id=0, pid=pid, modality=meta.modality,
@@ -270,7 +270,7 @@ class Node:
             if query.exec_algo is not None:
                 raise BadFrame("an EXEC query cannot be local_only")
             part = federation.execute_local(self.store, self.site_id, query)
-            return {"resultset_xml": federation.to_xml(part).decode("utf-8")}
+            return {"part": federation.to_part(part)}
         if query.exec_algo is not None:
             selector = mgql.Query("images", query.expr)
             job = self._schedule_job(query.exec_algo, selector)
@@ -292,7 +292,7 @@ class Node:
             body = {"query": mgql.print_query(subquery), "local_only": True}
             reply = self._call(addresses[site_id], "Query", body,
                                timeout_ms=self.query_timeout_ms)
-            return federation.from_xml(reply["resultset_xml"])
+            return federation.from_part(reply.get("part"), site_id, subquery.target)
 
         def outcome(site_id: str, subquery: mgql.Query):
             try:

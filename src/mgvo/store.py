@@ -107,8 +107,9 @@ class SiteStore:
     def _blob_path(self, sha: str) -> Path:
         return self._blob_dir / sha[:2] / sha
 
-    def put_blob(self, data: bytes) -> BlobRef:
-        sha = hashlib.sha256(data).hexdigest()
+    def put_blob(self, data: bytes, sha: Optional[str] = None) -> BlobRef:
+        """Store ``data`` under its sha256; ``sha`` is that digest if the caller has it."""
+        sha = sha or hashlib.sha256(data).hexdigest()
         ref = BlobRef(sha, len(data))
         path = self._blob_path(sha)
         with self._lock:

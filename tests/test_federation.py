@@ -1,11 +1,13 @@
-"""Query decomposition, local execution, merge, and the XML result dialect."""
+"""Query decomposition, local execution, merge, the node-to-node parts and the XML dialect."""
 
+import json
 import random
 
 import pytest
 
 from mgvo import federation, mgql
-from mgvo.errors import ColumnMismatch, MalformedXml, SchemaViolation, UnknownSite
+from mgvo.errors import (ColumnMismatch, InvariantViolation, MalformedXml, SchemaViolation,
+                         UnknownSite)
 from mgvo.federation import ResultRow, ResultSet
 from mgvo.model import PatientRecord, ImageRecord
 from mgvo.services.registry import SiteDescriptor
@@ -185,6 +187,31 @@ def test_merge_rejects_disagreement():
         federation.merge([])  # no parts and no target
 
 
+def test_merge_concatenates_parts_in_site_order():
+    rng = random.Random(7)
+    for _ in range(300):
+        whole = rand_resultset(rng)
+        sites = sorted({r.site_id for r in whole.rows})
+        parts = [ResultSet(whole.target, whole.columns,
+                           tuple(r for r in whole.rows if r.site_id == site), True, ())
+                 for site in sites]
+        rng.shuffle(parts)
+        merged = federation.merge(parts, whole.missing, target=whole.target)
+        assert merged == whole
+
+
+def test_merge_rejects_two_parts_from_one_site():
+    cols = ("patient.id",)
+    first = ResultSet("patients", cols, _rows("patients", ("site_a", "p1", ["p1"])), True, ())
+    second = ResultSet("patients", cols, _rows("patients", ("site_a", "p2", ["p2"])), True, ())
+    with pytest.raises(InvariantViolation):
+        federation.merge([first, second])
+    mixed = ResultSet("patients", cols, _rows(
+        "patients", ("site_a", "p1", ["p1"]), ("site_b", "p2", ["p2"])), True, ())
+    with pytest.raises(InvariantViolation):
+        federation.merge([mixed])
+
+
 def test_merge_empty_with_target():
     merged = federation.merge([], target="images")
     assert merged == ResultSet("images", (), (), True, ())
@@ -267,6 +294,89 @@ def test_from_xml_rejects_disorder():
                      b'</resultset>')
     with pytest.raises(SchemaViolation):
         federation.from_xml(missing_order)
+
+
+def _part_of(site, target, n):
+    """A complete single-site part with n rows, as execute_local makes it."""
+    if target == "images":
+        columns = federation.IMAGE_COLUMNS
+        ids = [f"{site}:{k}" for k in (2, 10, 11)[:n]]  # numeric, not text, order
+    else:
+        columns = federation.PATIENT_COLUMNS
+        ids = [f"{k:016x}" for k in range(n)]
+    rows = tuple(ResultRow(site, rid, (rid,) + ("x&<y>",) * (len(columns) - 1))
+                 for rid in ids)
+    return ResultSet(target, columns, rows, True, ())
+
+
+@pytest.mark.parametrize("target", ["images", "patients"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_part_round_trip(target, n):
+    rs = _part_of("site_b", target, n)
+    body = json.loads(json.dumps(federation.to_part(rs)))  # as a frame carries it
+    assert body["rows"] == [[r.row_id, *r.values] for r in rs.rows]
+    assert federation.from_part(body, "site_b", target) == rs
+    # a rowless part may also come without columns
+    empty = ResultSet(target, (), (), True, ())
+    assert federation.from_part(federation.to_part(empty), "site_b", target) == empty
+
+
+def test_part_from_execute_local_round_trips(tmp_path):
+    store, _ = _seeded_store(tmp_path)
+    for text in ("SELECT images WHERE patient.age > 0",
+                 "SELECT patients WHERE patient.age > 0",
+                 "SELECT images WHERE patient.age > 100"):
+        query = mgql.parse_query(text)
+        rs = federation.execute_local(store, "site_a", query)
+        assert federation.from_part(federation.to_part(rs), "site_a", query.target) == rs
+
+
+def _bad_parts():
+    good = federation.to_part(_part_of("site_b", "images", 3))
+
+    def edited(**changes):
+        return {**good, **changes}
+
+    def with_row(k, row):
+        rows = [list(r) for r in good["rows"]]
+        rows[k] = row
+        return edited(rows=rows)
+
+    row = good["rows"][0]
+    return {
+        "not an object": ["images", [], []],
+        "no rows": {"target": "images", "columns": good["columns"]},
+        "rows not a list": edited(rows="site_b:2"),
+        "wrong target": edited(target="patients"),
+        "no target": {"columns": good["columns"], "rows": good["rows"]},
+        "wrong columns": edited(columns=list(federation.PATIENT_COLUMNS)),
+        "reordered columns": edited(columns=list(reversed(good["columns"]))),
+        "no columns with rows": edited(columns=[]),
+        "short row": with_row(0, row[:-1]),
+        "long row": with_row(0, row + ["extra"]),
+        "row not a list": with_row(0, "site_b:2"),
+        "number cell": with_row(0, [row[0], 44] + row[2:]),
+        "null cell": with_row(0, row[:-1] + [None]),
+        "number row id": with_row(0, [2] + row[1:]),
+        "row id of another site": with_row(0, ["site_a:2"] + row[1:]),
+        "row id not a gfid": with_row(0, ["site_b"] + row[1:]),
+        "unordered rows": edited(rows=[good["rows"][1], good["rows"][0], good["rows"][2]]),
+        "duplicate rows": edited(rows=[good["rows"][0], good["rows"][0]]),
+        "rows ordered as text": edited(rows=sorted(good["rows"])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_parts()))
+def test_from_part_rejects(case):
+    with pytest.raises(SchemaViolation):
+        federation.from_part(_bad_parts()[case], "site_b", "images")
+
+
+def test_from_part_rejects_unordered_patients():
+    good = federation.to_part(_part_of("site_b", "patients", 3))
+    for rows in (good["rows"][::-1], [good["rows"][0]] * 2):
+        with pytest.raises(SchemaViolation):
+            federation.from_part({**good, "rows": rows}, "site_b", "patients")
 
 
 def test_render_value():

@@ -1,5 +1,6 @@
 """Auth tokens, wire framing, registry and node services, and real sockets."""
 
+import hashlib
 import socket
 import struct
 import threading
@@ -402,7 +403,7 @@ def test_query_local_only_stays_local(vo):
     request = wire.make_request("Query", node_token(vo), {
         "query": "SELECT images WHERE patient.age > 0", "local_only": True})
     body = wire.unwrap(node.handle_request(request))
-    rs = federation.from_xml(body["resultset_xml"])
+    rs = federation.from_part(body["part"], "site_a", "images")
     assert [r.site_id for r in rs.rows] == ["site_a"]
     # EXEC cannot ride a local-only subquery
     request = wire.make_request("Query", node_token(vo), {
@@ -410,6 +411,35 @@ def test_query_local_only_stays_local(vo):
     with pytest.raises(RemoteError) as err:
         wire.unwrap(node.handle_request(request))
     assert err.value.code == "BadFrame"
+
+
+@pytest.mark.parametrize("reply", [
+    {},
+    {"part": "<resultset target=\"images\" complete=\"true\"/>"},
+    {"part": {"target": "patients", "columns": [], "rows": []}},
+    {"part": {"target": "images", "columns": ["patient.id"], "rows": [["site_b:1", "x"]]}},
+    {"part": {"target": "images", "columns": list(federation.IMAGE_COLUMNS),
+              "rows": [["site_a:1"] + [""] * len(federation.IMAGE_COLUMNS)]}},
+], ids=["no part", "xml", "wrong target", "wrong columns", "row of another site"])
+def test_malformed_peer_part_is_a_bad_response(vo, monkeypatch, reply):
+    vo.add("site_a", sample_file(patient="P-A"))
+    vo.add("site_b", sample_file(patient="P-B"))
+    monkeypatch.setattr(vo.nodes["site_b"], "_op_query", lambda claims, body: reply)
+    xml = vo.query_xml("site_a", "SELECT images WHERE patient.age > 0")
+    rs = federation.from_xml(xml)
+    assert xml.startswith('<resultset target="images" complete="false">')
+    assert rs.missing == (("site_b", "bad response"),)
+    assert [r.row_id for r in rs.rows] == ["site_a:1"]
+
+
+def test_add_stores_the_blob_under_its_content_hash(vo):
+    gfid, _ = vo.add("site_a", sample_file(patient="P-A"))
+    store = vo.nodes["site_a"].store
+    ref = store.image(int(gfid.split(":")[1])).blob
+    path = store._blob_path(ref.sha256)
+    assert path.name == ref.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert ref.size_bytes == path.stat().st_size
+    assert store.get_blob(ref) == path.read_bytes()
 
 
 def test_query_syntax_errors_propagate(vo):

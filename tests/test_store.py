@@ -43,6 +43,18 @@ def test_blob_round_trip_and_idempotence(tmp_path):
     assert store.site_stats().blob_storage_size_bytes == len(data)
 
 
+def test_put_blob_takes_the_callers_digest(tmp_path):
+    store = SiteStore(tmp_path)
+    data = b"anonymized file" * 100
+    sha = hashlib.sha256(data).hexdigest()
+    ref = store.put_blob(data, sha)
+    assert (ref.sha256, ref.size_bytes) == (sha, len(data))
+    assert ref == store.put_blob(data)
+    path = tmp_path / "blobs" / sha[:2] / sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == path.name
+    assert store.get_blob(ref) == data
+
+
 def test_blob_corruption_detected(tmp_path):
     store = SiteStore(tmp_path)
     ref = store.put_blob(b"precious pixels")
