@@ -38,7 +38,6 @@ from .mgql import Query
 
 PLUGIN_KINDS = ("normalize", "density", "microcalc")
 
-JOB_NEW = "NEW"
 JOB_DISPATCHED = "DISPATCHED"
 JOB_RUNNING = "RUNNING"
 JOB_COMPLETED = "COMPLETED"

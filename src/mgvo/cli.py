@@ -23,7 +23,7 @@ import click
 from . import federation
 from .errors import MgError
 from .harness import corpus as corpus_mod
-from .harness.config import load_config
+from .harness.config import load_config, parse_params
 from .harness.sim import sim_run, transcript_text
 from .services import auth, wire
 from .services.node import Node
@@ -31,26 +31,17 @@ from .services.registry import Registry
 from .services.tcp import Server, TcpTransport
 
 _USER_ERRORS = {
-    "QuerySyntaxError", "SyntaxError", "UnknownField", "TypeMismatch", "BadRange",
+    "SyntaxError", "UnknownField", "TypeMismatch", "BadRange",
     "BadGfid", "BadParams", "BadValue", "BadCredentials", "UserUnknown",
     "UnknownPluginKind", "AuthFailure", "Expired", "BadSignature", "WeakSecret",
     "EmptyId",
-}
-_REMOTE_ERRORS = {
-    "RemoteError", "RemoteUnreachable", "Timeout", "ConnectionRefused", "NotFound",
-    "UnknownSite", "UnknownAlgorithm", "DuplicateAlgoId", "DuplicateAddress",
-    "ParseError", "PortClash",
 }
 
 
 def _fail(exc: Exception) -> None:
     if isinstance(exc, MgError):
         click.echo(f"error: {exc.code}: {exc}", err=True)
-        if exc.code in _USER_ERRORS:
-            sys.exit(1)
-        if exc.code in _REMOTE_ERRORS:
-            sys.exit(2)
-        sys.exit(2)
+        sys.exit(1 if exc.code in _USER_ERRORS else 2)
     click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
     sys.exit(3)
 
@@ -271,16 +262,9 @@ def algo() -> None:
 def algo_add(config_path, algo_id, kind, params) -> None:
     """Register an algorithm descriptor (admin role)."""
     cfg = _load_cfg(config_path)
-    parsed = {}
-    for pair in params:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            click.echo(f"error: --param wants name=value, got {pair!r}", err=True)
-            sys.exit(1)
-        parsed[name] = float(value) if "." in value else int(value)
     try:
         _call(cfg, "AddAlgorithm", {"algo_id": algo_id, "kind": kind,
-                                    "params": parsed})
+                                    "params": parse_params(params)})
     except Exception as exc:
         _fail(exc)
         return

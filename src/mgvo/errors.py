@@ -93,10 +93,6 @@ class UnknownImage(MgError):
     pass
 
 
-class RegionOutOfBounds(MgError):
-    pass
-
-
 # --- query language ---------------------------------------------------------
 
 class QuerySyntaxError(MgError):

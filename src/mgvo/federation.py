@@ -71,7 +71,7 @@ class ResultRow:
 class ResultSet:
     target: str
     columns: tuple
-    rows: tuple  # of ResultRow, sorted by row_sort_key
+    rows: tuple  # of ResultRow, by site, then local id (images) or pid (patients)
     complete: bool
     missing: tuple  # of (site_id, reason), sorted by site_id
 
@@ -83,12 +83,6 @@ def render_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def row_sort_key(target: str, row: ResultRow):
-    if target == "images":
-        return (row.site_id, parse_gfid(row.row_id).local_id)
-    return (row.site_id, row.row_id)
 
 
 # --- decomposition -------------------------------------------------------------
@@ -266,7 +260,7 @@ def _require(condition: bool, what: str) -> None:
 
 
 def _checked_key(target: str, site: str, row_id: str) -> tuple:
-    """``row_sort_key`` of a decoded row; an image row id must be a gfid of ``site``."""
+    """The sort key of a decoded row; an image row id must be a gfid of ``site``."""
     if target != "images":
         return (site, row_id)
     try:
@@ -340,7 +334,7 @@ def from_part(body, site_id: str, target: str) -> ResultSet:
     Makes the structural checks ``from_xml`` makes; any failure raises
     SchemaViolation. The rows must carry the canonical columns, each cell a
     string, each image row id a gfid of ``site_id``, in strict
-    ``row_sort_key`` order.
+    ``_checked_key`` order.
     """
     _require(isinstance(body, dict), "part is not an object")
     _require(body.get("target") == target,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..errors import BadValue
+from ..errors import BadParams, BadValue
 
 _INT_KEYS = ("query_timeout_ms", "poll_interval_s", "token_ttl_s")
 _BOOL_KEYS = ("public",)
@@ -71,6 +71,18 @@ def load_config(path) -> dict:
     merged = dict(CONFIG_DEFAULTS)
     merged.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
     return merged
+
+
+def parse_params(pairs) -> dict:
+    """Algorithm parameters from ``name=value`` words: a value with a ``.`` is a float, else an int."""
+    params = {}
+    for pair in pairs:
+        name, _, value = pair.partition("=")
+        try:
+            params[name] = float(value) if "." in value else int(value)
+        except ValueError:
+            raise BadParams(f"a parameter is name=number, got {pair!r}") from None
+    return params
 
 
 # --- topology ---------------------------------------------------------------------

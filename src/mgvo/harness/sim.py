@@ -1,18 +1,25 @@
-"""Deterministic multi-node simulation.
+"""One VO harness on two backends: a simulated network and loopback TCP.
 
-``SimVO`` boots a whole VO — registry plus one node per topology site — in
-one process on a simulated network. Time is virtual: every call advances a
-shared clock by the link latency, so latency and timeout behavior is exact
-and repeatable, and a full three-site session runs in milliseconds.
+``_VO`` is the client side of a whole VO. It boots the registry and one node
+per topology site, registers every site that is up and has each poll the
+registry. It then runs the client actions of a script (login, add, query,
+algorithms and jobs, retrieve, faults) and keeps the transcript: one entry
+per tapped frame or action, in a single sequence. A backend supplies the
+clock, the tap, the client's transport, and how nodes are built, started
+and stopped, so a script behaves the same on both.
 
-The network records a tap of every frame (both directions, with virtual
-timestamps) plus per-endpoint send/receive counters. Taps are what the
-anonymization and data-locality audits scan: if a raw patient id or a pixel
-block ever crossed a link, it is in here.
+``SimVO`` runs in one process on a simulated network. Time is virtual:
+every call advances a shared clock by the link latency, so latency and
+timeout behavior is exact and repeatable, a full three-site session runs in
+milliseconds, and transcripts are byte-deterministic. The network taps
+every frame (both directions, with virtual timestamps) and counts sends and
+receives per endpoint. Taps are what the anonymization and data-locality
+audits scan: if a raw patient id or a pixel block ever crossed a link, it
+is in here.
 
-``RealVO`` drives the same script surface over loopback TCP for protocol
-conformance; only client-side frames are tapped there, and transcripts are
-not byte-deterministic (wall time).
+``RealVO`` runs the same scripts over loopback TCP for protocol
+conformance. Nodes drain their jobs on their own threads, time is wall
+time, and only the client's frames are tapped.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .config import Topology, parse_script, parse_topology
+from .config import Topology, parse_params, parse_script, parse_topology
 from .. import federation
 from ..errors import BadValue, ConnectionRefused, MgError, Timeout
-from ..services import wire
+from ..services import auth, wire
 from ..services.node import Node
 from ..services.registry import Registry
 from ..services.tcp import Server, TcpTransport
@@ -52,30 +59,43 @@ class VirtualClock:
         self._now_ms += ms
 
 
-class SimNet:
+class Tap:
+    """Recorded frames; their sequence numbers also order the transcript's events."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.frames: list = []  # transcript frame entries, in tap order
+        self._seq = 0
+
+    def next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
+
+    def record(self, link: str, payload: bytes) -> None:
+        self.frames.append({
+            "kind": "frame",
+            "seq": self.next_seq(),
+            "t_ms": self.clock.now_ms(),
+            "link": link,
+            "bytes_b64": wire.to_b64(wire.frame_bytes(payload)),
+        })
+
+
+class SimNet(Tap):
     """In-process network: named endpoints, per-site latency, frame taps."""
 
     def __init__(self, clock: VirtualClock):
-        self.clock = clock
+        super().__init__(clock)
         self.handlers: dict = {}
         self.addresses: dict = {}  # address -> endpoint name
         self.latency: dict = {}
         self.down: set = set()
-        self.frames: list = []  # transcript frame entries, in tap order
         self.counters: dict = {}  # (endpoint, "sent"|"recv") -> int
-        self._seq = 0
 
     def add_endpoint(self, name: str, address: str, handler, latency_ms: int = 0) -> None:
         self.handlers[name] = handler
         self.addresses[address] = name
         self.latency[name] = latency_ms
-
-    def set_handler(self, name: str, handler) -> None:
-        self.handlers[name] = handler
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def transport_for(self, name: str) -> "SimTransport":
         return SimTransport(self, name)
@@ -85,13 +105,7 @@ class SimNet:
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def _tap(self, src: str, dst: str, payload: bytes) -> None:
-        self.frames.append({
-            "kind": "frame",
-            "seq": self.next_seq(),
-            "t_ms": self.clock.now_ms(),
-            "link": f"{src}->{dst}",
-            "bytes_b64": wire.to_b64(wire.frame_bytes(payload)),
-        })
+        self.record(f"{src}->{dst}", payload)
         self._bump(src, "sent")
         self._bump(dst, "recv")
 
@@ -130,31 +144,31 @@ class SimTransport:
         return self.net.call(self.src, address, request, timeout_ms=timeout_ms)
 
 
-class SimVO:
-    """A whole VO in one object, driven either by tests or by a script."""
+class _VO:
+    """A whole VO in one object, driven either by tests or by a script.
 
-    def __init__(self, topology: Topology, workdir, seed: int = 0,
-                 users=DEFAULT_USERS, start_ms: int = DEFAULT_START_MS):
+    A backend sets ``clock``, ``net`` (a ``Tap``) and ``client`` (the
+    client's transport) before this boots. It provides ``_make_node``,
+    ``drain``, and ``_is_up``/``_set_up`` for an endpoint named by its site
+    id or ``"registry"``.
+    """
+
+    def __init__(self, topology: Topology, workdir, seed: int, users):
         self.topology = topology
         self.workdir = Path(workdir)
         self.seed = seed
-        self.clock = VirtualClock(start_ms)
-        self.net = SimNet(self.clock)
         self.vo_secret = f"vo-{seed:08d}-0123456789abcdef".encode("ascii")
 
         self.registry = Registry(self.workdir / "registry", self.vo_secret,
                                  clock=self.clock)
         for user, password, roles in users:
             self.registry.add_user(user, password, roles)
-        self.net.add_endpoint("registry", topology.registry_address,
-                              self.registry.handle_request)
-        self.net.add_endpoint("client", "client:0", None)
 
         self.nodes: dict = {}
         self._configs: dict = {}
         self._generation: dict = {}
         for site in topology.sites:
-            config = {
+            self._configs[site.site_id] = {
                 "site_id": site.site_id,
                 "listen": site.address,
                 "registry": topology.registry_address,
@@ -162,15 +176,11 @@ class SimVO:
                 "site_secret": f"site-{site.site_id}-{seed:08d}-0123456789abcdef",
                 "vo_secret": self.vo_secret,
             }
-            self._configs[site.site_id] = config
-            self.nodes[site.site_id] = self._make_node(site.site_id)
-            self.net.add_endpoint(site.site_id, site.address,
-                                  self.nodes[site.site_id].handle_request,
-                                  site.latency_ms)
-            if site.drop:
-                self.net.down.add(site.site_id)
+            self._new_node(site.site_id)
+        self._set_up("registry", True)
         for site in topology.sites:
-            if site.site_id not in self.net.down:
+            self._set_up(site.site_id, not site.drop)
+            if not site.drop:
                 try:
                     self.nodes[site.site_id].register_with_registry()
                 except MgError:
@@ -181,11 +191,22 @@ class SimVO:
         self.last_job_id: Optional[str] = None
         self.events: list = []
 
-    def _make_node(self, site_id: str) -> Node:
+    def _new_node(self, site_id: str) -> Node:
         generation = self._generation.get(site_id, 0)
-        return Node(self._configs[site_id], self.net.transport_for(site_id),
-                    clock=self.clock,
-                    rng=random.Random(f"{self.seed}:{site_id}:{generation}"))
+        node = self._make_node(self._configs[site_id],
+                               random.Random(f"{self.seed}:{site_id}:{generation}"))
+        self.nodes[site_id] = node
+        return node
+
+    def _handler(self, name: str):
+        """The endpoint's handler, looked up per request so a restarted node takes over."""
+        if name == "registry":
+            return lambda request: self.registry.handle_request(request)
+        return lambda request: self.nodes[name].handle_request(request)
+
+    def close(self) -> None:
+        for node in self.nodes.values():
+            node.store.close()
 
     # --- transcript ----------------------------------------------------------
 
@@ -210,11 +231,9 @@ class SimVO:
             raise BadValue(f"no site {site_id!r} in the topology")
         return site.address
 
-    def _call(self, address: str, op: str, body: dict,
-              timeout_ms: Optional[int] = None) -> dict:
+    def _call(self, address: str, op: str, body: dict) -> dict:
         request = wire.make_request(op, self.token, body)
-        return wire.unwrap(self.net.call("client", address, request,
-                                         timeout_ms=timeout_ms))
+        return wire.unwrap(self.client.call(address, request))
 
     def login(self, user: str, password: str) -> list:
         body = self._call(self.topology.registry_address, "Authenticate",
@@ -266,13 +285,6 @@ class SimVO:
                                   "job_id": body["job_id"], "state": body["state"]})
         return body["job_id"]
 
-    def drain(self, site_id: str) -> None:
-        node = self.nodes[site_id]
-        for job_id, job in sorted(node.jobs.items()):
-            if job.state in ("DISPATCHED", "RUNNING"):
-                node.drain_job(job_id)
-        self._event("drain", {"site": site_id})
-
     def job_status(self, site_id: str, job_id: str) -> dict:
         body = self._call(self._addr(site_id), "JobStatus", {"job_id": job_id})
         self._event("job-status", {"site": site_id, "job_id": job_id,
@@ -299,35 +311,33 @@ class SimVO:
 
     def poll_all(self) -> None:
         for site in self.topology.sites:
-            if site.site_id not in self.net.down:
+            if self._is_up(site.site_id):
                 try:
                     self.nodes[site.site_id].refresh_topology()
                 except MgError:
                     pass  # too slow to hear the answer in time; keep booting
 
     def site_down(self, site_id: str) -> None:
-        self.net.down.add(site_id)
+        self._set_up(site_id, False)
         self._event("site-down", {"site": site_id})
 
     def site_up(self, site_id: str) -> None:
-        self.net.down.discard(site_id)
+        self._set_up(site_id, True)
         self._event("site-up", {"site": site_id})
 
     def registry_down(self) -> None:
-        self.net.down.add("registry")
+        self._set_up("registry", False)
         self._event("registry-down", {})
 
     def registry_up(self) -> None:
-        self.net.down.discard("registry")
+        self._set_up("registry", True)
         self._event("registry-up", {})
 
     def restart(self, site_id: str) -> None:
         self.nodes[site_id].store.close()
         self._generation[site_id] = self._generation.get(site_id, 0) + 1
-        node = self._make_node(site_id)
-        self.nodes[site_id] = node
-        self.net.set_handler(site_id, node.handle_request)
-        if site_id not in self.net.down:
+        node = self._new_node(site_id)
+        if self._is_up(site_id):
             try:
                 node.register_with_registry()
             except MgError:
@@ -335,164 +345,88 @@ class SimVO:
         self._event("restart", {"site": site_id})
 
 
+class SimVO(_VO):
+    """The VO on the simulated network, in virtual time."""
+
+    def __init__(self, topology: Topology, workdir, seed: int = 0,
+                 users=DEFAULT_USERS, start_ms: int = DEFAULT_START_MS):
+        self.clock = VirtualClock(start_ms)
+        self.net = SimNet(self.clock)
+        self.client = self.net.transport_for("client")
+        self.net.add_endpoint("registry", topology.registry_address,
+                              self._handler("registry"))
+        for site in topology.sites:
+            self.net.add_endpoint(site.site_id, site.address,
+                                  self._handler(site.site_id), site.latency_ms)
+        super().__init__(topology, workdir, seed, users)
+
+    def _make_node(self, config: dict, rng: random.Random) -> Node:
+        return Node(config, self.net.transport_for(config["site_id"]),
+                    clock=self.clock, rng=rng)
+
+    def _is_up(self, name: str) -> bool:
+        return name not in self.net.down
+
+    def _set_up(self, name: str, up: bool) -> None:
+        if up:
+            self.net.down.discard(name)
+        else:
+            self.net.down.add(name)
+
+    def drain(self, site_id: str) -> None:
+        node = self.nodes[site_id]
+        for job_id, job in sorted(node.jobs.items()):
+            if job.state in ("DISPATCHED", "RUNNING"):
+                node.drain_job(job_id)
+        self._event("drain", {"site": site_id})
+
+
 class _TappedTransport:
-    """Client-side taps for real-socket runs."""
+    """The client's TCP transport, recording each request and answer in a tap."""
 
-    concurrent = True
-
-    def __init__(self, inner: TcpTransport, vo: "RealVO"):
+    def __init__(self, inner: TcpTransport, tap: Tap):
         self.inner = inner
-        self.vo = vo
+        self.tap = tap
 
-    def call(self, address: str, request: dict, timeout_ms: Optional[int] = None) -> dict:
-        self.vo.record_frame(f"client->{address}", request)
-        response = self.inner.call(address, request, timeout_ms=timeout_ms)
-        self.vo.record_frame(f"{address}->client", response)
+    def call(self, address: str, request: dict) -> dict:
+        self.tap.record(f"client->{address}", wire.encode_payload(request))
+        response = self.inner.call(address, request)
+        self.tap.record(f"{address}->client", wire.encode_payload(response))
         return response
 
 
-class RealVO:
-    """The SimVO surface over loopback TCP (auto-draining nodes, wall time)."""
+class RealVO(_VO):
+    """The VO over loopback TCP: one server per endpoint, auto-draining nodes, wall time."""
 
     def __init__(self, topology: Topology, workdir, seed: int = 0,
                  users=DEFAULT_USERS):
-        self.topology = topology
-        self.workdir = Path(workdir)
-        self.seed = seed
-        self.vo_secret = f"vo-{seed:08d}-0123456789abcdef".encode("ascii")
-
-        self.registry = Registry(self.workdir / "registry", self.vo_secret)
-        for user, password, roles in users:
-            self.registry.add_user(user, password, roles)
+        self.clock = auth.SystemClock()
+        self.net = Tap(self.clock)
+        self.client = _TappedTransport(TcpTransport(default_timeout_ms=60_000), self.net)
         self.servers: dict = {}
-        self.servers["registry"] = Server(self.registry.handle_request,
-                                          topology.registry_address).start()
-        self.nodes: dict = {}
-        self._configs: dict = {}
-        for site in topology.sites:
-            config = {
-                "site_id": site.site_id,
-                "listen": site.address,
-                "registry": topology.registry_address,
-                "data_dir": str(self.workdir / site.site_id),
-                "site_secret": f"site-{site.site_id}-{seed:08d}-0123456789abcdef",
-                "vo_secret": self.vo_secret,
-            }
-            self._configs[site.site_id] = config
-            node = Node(config, TcpTransport(), auto_drain=True,
-                        rng=random.Random(f"{seed}:{site.site_id}:0"))
-            self.nodes[site.site_id] = node
-            if not site.drop:
-                self.servers[site.site_id] = Server(node.handle_request,
-                                                    site.address).start()
-        for site in topology.sites:
-            if site.site_id in self.servers:
-                self.nodes[site.site_id].register_with_registry()
+        super().__init__(topology, workdir, seed, users)
 
-        self._transport = _TappedTransport(TcpTransport(), self)
-        self.token: Optional[str] = None
-        self.last_job_id: Optional[str] = None
-        self.events: list = []
-        self._frames: list = []
-        self._seq = 0
+    def _make_node(self, config: dict, rng: random.Random) -> Node:
+        return Node(config, TcpTransport(), clock=self.clock, rng=rng, auto_drain=True)
+
+    def _is_up(self, name: str) -> bool:
+        return name in self.servers
+
+    def _set_up(self, name: str, up: bool) -> None:
+        if up and name not in self.servers:
+            address = (self.topology.registry_address if name == "registry"
+                       else self._addr(name))
+            self.servers[name] = Server(self._handler(name), address).start()
+        elif not up and name in self.servers:
+            self.servers.pop(name).stop()
 
     def close(self) -> None:
         for server in self.servers.values():
             server.stop()
-
-    # --- transcript ---
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def record_frame(self, link: str, message: dict) -> None:
-        self._frames.append({
-            "kind": "frame", "seq": self._next_seq(),
-            "t_ms": time.time_ns() // 1_000_000, "link": link,
-            "bytes_b64": wire.to_b64(wire.encode_frame(message)),
-        })
-
-    def _event(self, action: str, detail: dict, ok: bool = True) -> None:
-        self.events.append({
-            "kind": "event", "seq": self._next_seq(),
-            "t_ms": time.time_ns() // 1_000_000, "action": action, "ok": ok,
-            "detail": detail,
-        })
-
-    def transcript(self) -> list:
-        return sorted(self._frames + self.events, key=lambda e: e["seq"])
-
-    def frames(self) -> list:
-        return list(self._frames)
-
-    # --- client actions (same shapes as SimVO) ---
-
-    def _addr(self, site_id: str) -> str:
-        site = self.topology.site(site_id)
-        if site is None:
-            raise BadValue(f"no site {site_id!r} in the topology")
-        return site.address
-
-    def _call(self, address: str, op: str, body: dict,
-              timeout_ms: Optional[int] = None) -> dict:
-        request = wire.make_request(op, self.token, body)
-        return wire.unwrap(self._transport.call(address, request,
-                                                timeout_ms=timeout_ms))
-
-    def login(self, user: str, password: str) -> list:
-        body = self._call(self.topology.registry_address, "Authenticate",
-                          {"user": user, "password": password})
-        self.token = body["session"]
-        self._event("login", {"user": user, "roles": body["roles"]})
-        return body["roles"]
-
-    def add(self, site_id: str, data: bytes):
-        body = self._call(self._addr(site_id), "Add",
-                          {"file_b64": wire.to_b64(data)})
-        self._event("add", {"site": site_id, "gfid": body["gfid"],
-                            "duplicate": body["duplicate"]})
-        return body["gfid"], body["duplicate"]
-
-    def _query(self, site_id: str, text: str):
-        """(answer body, its decoded result set); logs the query event."""
-        body = self._call(self._addr(site_id), "Query", {"query": text},
-                          timeout_ms=60_000)
-        xml = body["resultset_xml"]
-        rs = federation.from_xml(xml)
-        detail = {"site": site_id, "rows": len(rs.rows), "complete": rs.complete,
-                  "xml_sha256": _sha16(xml)}
-        if "job_id" in body:
-            self.last_job_id = body["job_id"]
-            detail["job_id"] = body["job_id"]
-        self._event("query", detail)
-        return body, rs
-
-    def query_body(self, site_id: str, text: str) -> dict:
-        return self._query(site_id, text)[0]
-
-    def query_xml(self, site_id: str, text: str) -> str:
-        return self.query_body(site_id, text)["resultset_xml"]
-
-    def query(self, site_id: str, text: str):
-        return self._query(site_id, text)[1]
-
-    def algo_add(self, site_id: str, algo_id: str, kind: str,
-                 params: Optional[dict] = None) -> None:
-        self._call(self._addr(site_id), "AddAlgorithm",
-                   {"algo_id": algo_id, "kind": kind, "params": params or {}})
-        self._event("algo-add", {"site": site_id, "algo_id": algo_id, "kind": kind})
-
-    def algo_exec(self, site_id: str, algo_id: str, selector: str) -> str:
-        body = self._call(self._addr(site_id), "ExecuteAlgorithm",
-                          {"algo_id": algo_id, "selector": selector})
-        self.last_job_id = body["job_id"]
-        self._event("algo-exec", {"site": site_id, "algo_id": algo_id,
-                                  "job_id": body["job_id"], "state": body["state"]})
-        return body["job_id"]
+        super().close()
 
     def drain(self, site_id: str) -> None:
-        # Nodes auto-drain in real mode; draining means waiting them out.
+        # Nodes drain on their own; draining here means waiting them out.
         node = self.nodes[site_id]
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
@@ -503,75 +437,6 @@ class RealVO:
                 break
             time.sleep(0.02)
         self._event("drain", {"site": site_id})
-
-    def job_status(self, site_id: str, job_id: str) -> dict:
-        body = self._call(self._addr(site_id), "JobStatus", {"job_id": job_id})
-        self._event("job-status", {"site": site_id, "job_id": job_id,
-                                   "state": body["job"]["state"]})
-        return body["job"]
-
-    def retrieve(self, site_id: str, gfid: str) -> bytes:
-        body = self._call(self._addr(site_id), "Retrieve", {"gfid": gfid})
-        data = wire.from_b64(body["file_b64"])
-        self._event("retrieve", {"site": site_id, "gfid": gfid,
-                                 "bytes": len(data), "sha256": _sha16(data)})
-        return data
-
-    def sites(self) -> list:
-        body = self._call(self.topology.registry_address, "ListSites", {})
-        self._event("sites", {"count": len(body["sites"])})
-        return body["sites"]
-
-    def poll(self, site_id: str) -> None:
-        self.nodes[site_id].refresh_topology()
-        self._event("poll", {"site": site_id})
-
-    def poll_all(self) -> None:
-        for site in self.topology.sites:
-            if site.site_id in self.servers:
-                self.nodes[site.site_id].refresh_topology()
-
-    def site_down(self, site_id: str) -> None:
-        server = self.servers.pop(site_id, None)
-        if server is not None:
-            server.stop()
-        self._event("site-down", {"site": site_id})
-
-    def site_up(self, site_id: str) -> None:
-        if site_id not in self.servers:
-            node = self.nodes[site_id]
-            self.servers[site_id] = Server(node.handle_request,
-                                           self._addr(site_id)).start()
-        self._event("site-up", {"site": site_id})
-
-    def registry_down(self) -> None:
-        server = self.servers.pop("registry", None)
-        if server is not None:
-            server.stop()
-        self._event("registry-down", {})
-
-    def registry_up(self) -> None:
-        if "registry" not in self.servers:
-            self.servers["registry"] = Server(self.registry.handle_request,
-                                              self.topology.registry_address).start()
-        self._event("registry-up", {})
-
-    def restart(self, site_id: str) -> None:
-        was_up = site_id in self.servers
-        if was_up:
-            self.servers.pop(site_id).stop()
-        self.nodes[site_id].store.close()
-        node = Node(self._configs[site_id], TcpTransport(), auto_drain=True,
-                    rng=random.Random(f"{self.seed}:{site_id}:r"))
-        self.nodes[site_id] = node
-        if was_up:
-            self.servers[site_id] = Server(node.handle_request,
-                                           self._addr(site_id)).start()
-            try:
-                node.register_with_registry()
-            except MgError:
-                pass
-        self._event("restart", {"site": site_id})
 
 
 # --- scripted runs ----------------------------------------------------------------
@@ -612,11 +477,7 @@ def _run_one(vo, command, base: Path) -> None:
     elif name == "query":
         vo.query_body(args[0], rest)
     elif name == "algo-add":
-        params = {}
-        for pair in rest.split():
-            key, _, value = pair.partition("=")
-            params[key] = float(value) if "." in value else int(value)
-        vo.algo_add(args[0], args[1], args[2], params)
+        vo.algo_add(args[0], args[1], args[2], parse_params(rest.split()))
     elif name == "algo-exec":
         vo.algo_exec(args[0], args[1], rest)
     elif name == "drain":
@@ -652,16 +513,12 @@ def sim_run(topology_text: str, script_text: str, workdir, seed: int = 0,
     """Boot a VO from a topology, run a script, return the transcript."""
     topology = parse_topology(topology_text)
     commands = parse_script(script_text)
-    if real_sockets:
-        vo = RealVO(topology, workdir, seed=seed)
-        try:
-            run_script(vo, commands, base_dir)
-            return vo.transcript()
-        finally:
-            vo.close()
-    vo = SimVO(topology, workdir, seed=seed)
-    run_script(vo, commands, base_dir)
-    return vo.transcript()
+    vo = (RealVO if real_sockets else SimVO)(topology, workdir, seed=seed)
+    try:
+        run_script(vo, commands, base_dir)
+        return vo.transcript()
+    finally:
+        vo.close()
 
 
 def transcript_text(entries: list) -> str:

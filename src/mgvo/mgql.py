@@ -1,4 +1,4 @@
-"""Grid query language: parse, canonical print, classify, evaluate.
+"""Grid query language: parse, canonical print, evaluate.
 
 Grammar (keywords case-insensitive, whitespace-insensitive)::
 
@@ -342,33 +342,10 @@ def _print_expr(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def print_expr(node: Expr) -> str:
-    return _print_expr(node)
-
-
 def print_query(q: Query) -> str:
     """Canonical text: uppercase keywords, single spaces, minimal parentheses."""
     head = f"EXEC {q.exec_algo}" if q.exec_algo else f"SELECT {q.target}"
     return f"{head} WHERE {_print_expr(q.expr)}"
-
-
-# --- classification --------------------------------------------------------------
-
-def _any_pred(node: Expr, test) -> bool:
-    if isinstance(node, Pred):
-        return test(node)
-    if isinstance(node, Not):
-        return _any_pred(node.expr, test)
-    return _any_pred(node.left, test) or _any_pred(node.right, test)
-
-
-def classify(q: Query) -> str:
-    """"complex" when the query touches derived data or runs an algorithm."""
-    if q.exec_algo is not None:
-        return "complex"
-    if _any_pred(q.expr, lambda p: p.field.startswith("derived.")):
-        return "complex"
-    return "simple"
 
 
 # --- evaluation --------------------------------------------------------------------

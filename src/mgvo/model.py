@@ -145,22 +145,3 @@ class DerivedRecord:
         for name, value in self.fields.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvariantViolation(f"derived field {name!r} is not numeric")
-
-
-@dataclass
-class AnnotationRecord:
-    local_id: int
-    image_local_id: int
-    author: str
-    region: tuple  # (x0, y0, x1, y1), end-exclusive pixel box
-    text: str
-    created_at_ms: int
-
-    def validate(self) -> None:
-        if not self.author:
-            raise InvariantViolation("annotation author is empty")
-        if len(self.region) != 4:
-            raise InvariantViolation("region must be (x0, y0, x1, y1)")
-        x0, y0, x1, y1 = self.region
-        if not (x0 < x1 and y0 < y1) or min(x0, y0) < 0:
-            raise InvariantViolation(f"degenerate region: {self.region}")

@@ -1,9 +1,9 @@
 """Per-site persistence: content-addressed blobs + an append-only record log.
 
 Blobs live under ``data_dir/blobs/<first 2 hex>/<sha256>`` and are verified on
-every read. Metadata records (patients, images, derived results, annotations,
-jobs) are appended to ``data_dir/meta.log`` as length-prefixed JSON and the
-whole index is rebuilt by replaying the log at startup. A torn tail (crash
+every read. Metadata records (patients, images, derived results, jobs) are
+appended to ``data_dir/meta.log`` as length-prefixed JSON and the whole
+index is rebuilt by replaying the log at startup. A torn tail (crash
 mid-append) is cut off; a whole record that does not decode raises
 ``IntegrityError``. Memory holds only the latest derived record per image and
 kind; older versions stay in the log. One writer, many readers: a single lock
@@ -27,11 +27,10 @@ from .errors import (
     InvariantViolation,
     IoFailure,
     NotFound,
-    RegionOutOfBounds,
     UnknownImage,
     UnknownPatient,
 )
-from .model import AnnotationRecord, DerivedRecord, ImageRecord, PatientRecord
+from .model import DerivedRecord, ImageRecord, PatientRecord
 
 _LEN = struct.Struct(">I")
 
@@ -84,13 +83,10 @@ class SiteStore:
         self._images: dict[int, ImageRecord] = {}
         self._num_derived = 0
         self._latest: dict[tuple[int, str], DerivedRecord] = {}
-        self._annotations: dict[int, AnnotationRecord] = {}
-        self._notes_by_image: dict[int, list[int]] = {}
         self._image_by_blob: dict[str, int] = {}
         self._jobs: dict[str, dict] = {}
         self._next_image = 1
         self._next_derived = 1
-        self._next_note = 1
         self._blob_bytes = 0
 
         self._replay()
@@ -182,15 +178,9 @@ class SiteStore:
             self._num_derived += 1
             self._latest[(derived.image_local_id, derived.kind)] = derived
             self._next_derived = max(self._next_derived, derived.local_id + 1)
-        elif kind == "annotation":
-            rec = dict(rec, region=tuple(rec["region"]))
-            note = AnnotationRecord(**rec)
-            self._annotations[note.local_id] = note
-            self._notes_by_image.setdefault(note.image_local_id, []).append(note.local_id)
-            self._next_note = max(self._next_note, note.local_id + 1)
         elif kind == "job":
             self._jobs[rec["job_id"]] = rec
-        else:
+        elif kind != "annotation":  # older versions logged annotations; nothing reads them
             raise InvariantViolation(f"unknown record kind {kind!r} in log")
 
     # --- records -----------------------------------------------------------
@@ -228,23 +218,6 @@ class SiteStore:
             self._next_derived += 1
             return derived.local_id
 
-    def insert_annotation(self, note: AnnotationRecord) -> int:
-        with self._lock:
-            image = self._images.get(note.image_local_id)
-            if image is None:
-                raise UnknownImage(f"no image {note.image_local_id}")
-            note.local_id = self._next_note
-            note.validate()
-            x0, y0, x1, y1 = note.region
-            if x1 > image.cols or y1 > image.rows:
-                raise RegionOutOfBounds(
-                    f"region {note.region} exceeds {image.cols}x{image.rows}")
-            self._append("annotation", asdict(note))
-            self._annotations[note.local_id] = note
-            self._notes_by_image.setdefault(note.image_local_id, []).append(note.local_id)
-            self._next_note += 1
-            return note.local_id
-
     # --- lookups ---------------------------------------------------------------
 
     def patient(self, pid: str) -> PatientRecord:
@@ -276,11 +249,6 @@ class SiteStore:
         return [DerivedRecord(**rec) for entry_kind, rec, _ in _frames(data)
                 if entry_kind == "derived" and rec["image_local_id"] == image_local_id
                 and rec["kind"] == kind]
-
-    def annotations_for_image(self, image_local_id: int) -> list[AnnotationRecord]:
-        with self._lock:
-            ids = self._notes_by_image.get(image_local_id, [])
-            return [self._annotations[i] for i in ids]
 
     # --- jobs --------------------------------------------------------------------
 

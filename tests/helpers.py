@@ -123,7 +123,8 @@ def rand_resultset(rng: random.Random) -> federation.ResultSet:
         seen.add((site, row_id))
         rows.append(federation.ResultRow(
             site, row_id, tuple(rand_cell(rng) for _ in columns)))
-    rows.sort(key=lambda r: federation.row_sort_key(target, r))
+    rows.sort(key=lambda r: (r.site_id, int(r.row_id.partition(":")[2])
+                             if target == "images" else r.row_id))
     missing = []
     if rng.random() < 0.4:
         row_sites = {r.site_id for r in rows}

@@ -17,6 +17,7 @@ from mgvo.services import auth
 from mgvo.services.node import Node
 from mgvo.services.registry import Registry
 from mgvo.services.tcp import Server, TcpTransport
+from mgvo.store import SiteStore
 
 TOPOLOGY_TEXT = """
 # two-site bench
@@ -286,6 +287,36 @@ def test_sim_run_real_sockets_smoke(tmp_path):
     statuses = [e for e in events if e["action"] == "job-status"]
     assert statuses and statuses[0]["detail"]["state"] == "COMPLETED"
 
+    # both backends boot and poll alike, so the same script gives the same
+    # events; job ids and timing differ, and real nodes drain on their own
+    simulated = sim_run(TOPOLOGY_TEXT, script, tmp_path / "sim", seed=5)
+    assert _comparable(entries) == _comparable(simulated)
+
+
+def _comparable(entries):
+    out = []
+    for e in entries:
+        if e["kind"] != "event":
+            continue
+        detail = {k: v for k, v in e["detail"].items() if k != "job_id"}
+        if e["action"] == "algo-exec":
+            detail.pop("state")
+        out.append((e["action"], e["ok"], detail))
+    return out
+
+
+def test_sim_run_closes_every_store(tmp_path, monkeypatch):
+    closed = []
+    real_close = SiteStore.close
+
+    def counting(store):
+        closed.append(store.data_dir.name)
+        real_close(store)
+
+    monkeypatch.setattr(SiteStore, "close", counting)
+    sim_run(TOPOLOGY_TEXT, "login alice alice-pw\nsites\n", tmp_path / "run")
+    assert sorted(closed) == ["site_a", "site_b"]
+
 
 def test_transcript_entries_are_json_lines(tmp_path):
     script = _script(tmp_path)
@@ -398,6 +429,27 @@ def test_script_failures_become_events(tmp_path):
     assert [e["ok"] for e in events] == [False, True, False]
     assert events[0]["detail"]["error"] == "BadCredentials"
     assert events[2]["detail"]["error"] == "SyntaxError"
+
+
+@pytest.mark.parametrize("bad", ["threshold=abc", "threshold", "threshold=1.2.3"])
+def test_script_bad_algo_params_become_events(tmp_path, bad):
+    script = ("login alice alice-pw\n"
+              f"algo-add site_a density-v1 density {bad}\n"
+              "algo-add site_a density-v1 density threshold=100\n")
+    entries = sim_run(TOPOLOGY_TEXT, script, tmp_path / "run", seed=1)
+    events = [e for e in entries if e["kind"] == "event"]
+    assert [(e["action"], e["ok"]) for e in events] == [
+        ("login", True), ("algo-add", False), ("algo-add", True)]
+    assert events[1]["detail"]["error"] == "BadParams"
+
+
+def test_parse_params():
+    assert cfg.parse_params(["threshold=100", "sigma=1.5"]) == {
+        "threshold": 100, "sigma": 1.5}
+    assert cfg.parse_params([]) == {}
+    for bad in ("threshold=abc", "threshold", "threshold=", "x=1.2.3"):
+        with pytest.raises(BadParams):
+            cfg.parse_params([bad])
 
 
 # --- the oracle ---------------------------------------------------------------------
@@ -592,6 +644,16 @@ def test_cli_error_exit_codes(cluster, tmp_path):
                      env={"MGVO_CONFIG": ""})
     assert result.exit_code == 1
     assert "no config" in result.stderr
+
+
+def test_cli_algo_add_bad_param_is_a_user_error(cluster):
+    conf = cluster["config"]
+    run_cli(["login", "--config", conf, "-u", "alice", "--password", "alice-pw"])
+    for bad in ("threshold=abc", "threshold"):
+        result = run_cli(["algo", "add", "--config", conf, "--id", "density-v1",
+                          "--kind", "density", "--param", bad])
+        assert result.exit_code == 1
+        assert "BadParams" in result.stderr
 
 
 def test_cli_user_add(cluster):

@@ -136,23 +136,6 @@ def test_date_literals_stay_lexical():
         mgql.parse_query("SELECT images WHERE image.study_date = 20040230")
 
 
-def test_classify():
-    simple = [
-        "SELECT images WHERE patient.age > 40",
-        "SELECT patients WHERE patient.sex = 'F' AND site.id = 'site_a'",
-    ]
-    complex_ = [
-        "SELECT images WHERE derived.density_pct > 50",
-        "SELECT images WHERE NOT derived.kind = 'smf'",
-        "SELECT patients WHERE patient.age > 40 OR derived.num_findings > 0",
-        "EXEC density-v1 WHERE patient.age > 40",
-    ]
-    for text in simple:
-        assert mgql.classify(mgql.parse_query(text)) == "simple"
-    for text in complex_:
-        assert mgql.classify(mgql.parse_query(text)) == "complex"
-
-
 def _truth_table_eval(expr, row):
     """Independent recursive evaluation used to cross-check mgql.evaluate."""
     if isinstance(expr, mgql.And):

@@ -152,19 +152,3 @@ def test_derived_record_validation():
     with pytest.raises(InvariantViolation):
         model.DerivedRecord(local_id=1, image_local_id=2, kind="smf",
                             fields={"density_pct": "31"}).validate()
-
-
-def test_annotation_record_validation():
-    good = model.AnnotationRecord(local_id=1, image_local_id=1, author="alice",
-                                  region=(0, 0, 10, 10), text="note",
-                                  created_at_ms=1000)
-    good.validate()
-    for region in ((0, 0, 0, 10), (-1, 0, 10, 10), (5, 5, 5, 6), (0, 0, 10)):
-        with pytest.raises(InvariantViolation):
-            model.AnnotationRecord(local_id=1, image_local_id=1, author="alice",
-                                   region=region, text="note",
-                                   created_at_ms=1000).validate()
-    with pytest.raises(InvariantViolation):
-        model.AnnotationRecord(local_id=1, image_local_id=1, author="",
-                               region=(0, 0, 1, 1), text="",
-                               created_at_ms=1000).validate()
