@@ -43,7 +43,6 @@ JOB_RUNNING = "RUNNING"
 JOB_COMPLETED = "COMPLETED"
 JOB_PARTIAL = "PARTIAL"
 JOB_FAILED = "FAILED"
-JOB_TERMINAL = (JOB_COMPLETED, JOB_PARTIAL, JOB_FAILED)
 
 TASK_PENDING = "PENDING"
 TASK_RUNNING = "RUNNING"
@@ -75,6 +74,12 @@ class AlgorithmDescriptor:
     def to_dict(self) -> dict:
         return {"algo_id": self.algo_id, "kind": self.kind,
                 "params": dict(self.params), "version": self.version}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AlgorithmDescriptor":
+        """Unvalidated: callers that take it from outside run validate_descriptor."""
+        return cls(algo_id=str(data.get("algo_id", "")), kind=str(data.get("kind", "")),
+                   params=dict(data.get("params", {})))
 
 
 def validate_descriptor(algo: AlgorithmDescriptor) -> None:

@@ -231,6 +231,10 @@ class _VO:
             raise BadValue(f"no site {site_id!r} in the topology")
         return site.address
 
+    def _check_site(self, site_id: str) -> None:
+        """BadValue, as for a client call, when an action names a site the topology lacks."""
+        self._addr(site_id)
+
     def _call(self, address: str, op: str, body: dict) -> dict:
         request = wire.make_request(op, self.token, body)
         return wire.unwrap(self.client.call(address, request))
@@ -306,6 +310,7 @@ class _VO:
     # --- fault injection -----------------------------------------------------------
 
     def poll(self, site_id: str) -> None:
+        self._check_site(site_id)
         self.nodes[site_id].refresh_topology()
         self._event("poll", {"site": site_id})
 
@@ -318,10 +323,12 @@ class _VO:
                     pass  # too slow to hear the answer in time; keep booting
 
     def site_down(self, site_id: str) -> None:
+        self._check_site(site_id)
         self._set_up(site_id, False)
         self._event("site-down", {"site": site_id})
 
     def site_up(self, site_id: str) -> None:
+        self._check_site(site_id)
         self._set_up(site_id, True)
         self._event("site-up", {"site": site_id})
 
@@ -334,6 +341,7 @@ class _VO:
         self._event("registry-up", {})
 
     def restart(self, site_id: str) -> None:
+        self._check_site(site_id)
         self.nodes[site_id].store.close()
         self._generation[site_id] = self._generation.get(site_id, 0) + 1
         node = self._new_node(site_id)
@@ -374,6 +382,7 @@ class SimVO(_VO):
             self.net.down.add(name)
 
     def drain(self, site_id: str) -> None:
+        self._check_site(site_id)
         node = self.nodes[site_id]
         for job_id, job in sorted(node.jobs.items()):
             if job.state in ("DISPATCHED", "RUNNING"):
@@ -426,6 +435,7 @@ class RealVO(_VO):
         super().close()
 
     def drain(self, site_id: str) -> None:
+        self._check_site(site_id)
         # Nodes drain on their own; draining here means waiting them out.
         node = self.nodes[site_id]
         deadline = time.monotonic() + 30

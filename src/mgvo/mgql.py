@@ -293,16 +293,6 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse_query()
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse a bare predicate expression (the part after WHERE)."""
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    tok = parser._current()
-    if tok.kind != "EOF":
-        raise QuerySyntaxError(f"trailing input {tok.text!r}", tok.pos, "end of expression")
-    return expr
-
-
 # --- canonical printing --------------------------------------------------------
 
 def _literal_text(field: str, value) -> str:

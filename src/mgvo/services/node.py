@@ -148,9 +148,7 @@ class Node:
                 topology[desc.site_id] = desc
             self.topology = topology
             self.algorithms = {
-                entry["algo_id"]: AlgorithmDescriptor(
-                    algo_id=entry["algo_id"], kind=entry["kind"],
-                    params=dict(entry.get("params", {})))
+                entry["algo_id"]: AlgorithmDescriptor.from_dict(entry)
                 for entry in body.get("algorithms", [])
             }
         return True
@@ -184,8 +182,6 @@ class Node:
                 return wire.ok_response(self._op_job_status(claims, body))
             if op == "RunTask":
                 return wire.ok_response(self._op_run_task(claims, body))
-            if op == "TaskResult":
-                return wire.ok_response(self._op_task_result(claims, body))
             return wire.error_response("UnknownOp", f"a node does not serve op {op!r}")
         except MgError as exc:
             return wire.response_for(exc)
@@ -380,36 +376,28 @@ class Node:
         algo = self.algorithms.get(job.algo_id)
 
         for task in claimed:
-            if algo is None:
-                self._apply_task_result(job, task.site_id, {
-                    "state": TASK_FAILED, "images_selected": 0, "derived_written": 0,
-                    "error": f"unknown algorithm {job.algo_id}"})
-                continue
-            if task.site_id == self.site_id:
-                result = run_task(self.store, self.site_id, algo,
-                                  mgql.parse_query(task.selector), job_id=job.job_id)
-                self._apply_task_result(job, task.site_id, result)
-                continue
-            desc = self._site_or_refresh(task.site_id)
-            if desc is None:
-                self._apply_task_result(job, task.site_id, {
-                    "state": TASK_FAILED, "images_selected": 0, "derived_written": 0,
-                    "error": f"unknown site {task.site_id}"})
-                continue
-            try:
-                self._call(desc.address, "RunTask", {
-                    "job_id": job.job_id,
-                    "algo": algo.to_dict(),
-                    "selector": task.selector,
-                    "origin": {"site_id": self.site_id, "address": self.listen},
-                }, timeout_ms=self.query_timeout_ms)
-            except (Timeout, ConnectionRefused, RemoteError) as exc:
-                reason = exc.code if isinstance(exc, RemoteError) else str(exc)
-                self._fail_if_unreported(job, task.site_id, f"dispatch failed: {reason}")
-            else:
-                # The owner reports its TaskResult before acking RunTask, so a
-                # still-running task here means the report never arrived.
-                self._fail_if_unreported(job, task.site_id, "no task result")
+            self._apply_task_result(job, task.site_id, self._task_outcome(job, task, algo))
+
+    def _task_outcome(self, job: JobRecord, task, algo) -> dict:
+        """One claimed task's outcome: run here, or the checked reply of its site."""
+        if algo is None:
+            return _failed_task(f"unknown algorithm {job.algo_id}")
+        if task.site_id == self.site_id:
+            return run_task(self.store, self.site_id, algo,
+                            mgql.parse_query(task.selector), job_id=job.job_id)
+        desc = self._site_or_refresh(task.site_id)
+        if desc is None:
+            return _failed_task(f"unknown site {task.site_id}")
+        try:
+            reply = self._call(desc.address, "RunTask", {
+                "job_id": job.job_id, "algo": algo.to_dict(), "selector": task.selector,
+            }, timeout_ms=self.query_timeout_ms)
+        except (Timeout, ConnectionRefused, RemoteError) as exc:
+            reason = exc.code if isinstance(exc, RemoteError) else str(exc)
+            return _failed_task(f"dispatch failed: {reason}")
+        except MgError:
+            return _failed_task("bad response")
+        return _checked_task_result(reply)
 
     def _apply_task_result(self, job: JobRecord, site_id: str, result: dict) -> None:
         with self._jobs_lock:
@@ -418,46 +406,35 @@ class Node:
                         self.clock.now_ms())
             self.store.upsert_job(job.to_dict())
 
-    def _fail_if_unreported(self, job: JobRecord, site_id: str, error: str) -> None:
-        with self._jobs_lock:
-            task = job.task_for(site_id)
-            if task is not None and task.state not in (TASK_DONE, TASK_FAILED):
-                self._apply_task_result(job, site_id, {
-                    "state": TASK_FAILED, "images_selected": 0,
-                    "derived_written": 0, "error": error})
-
     def _op_run_task(self, claims: dict, body: dict) -> dict:
-        spec_dict = body.get("algo") or {}
-        algo = AlgorithmDescriptor(algo_id=str(spec_dict.get("algo_id", "")),
-                                   kind=str(spec_dict.get("kind", "")),
-                                   params=dict(spec_dict.get("params", {})))
+        # The reply is the outcome; the node calls no one while serving it.
+        algo = AlgorithmDescriptor.from_dict(body.get("algo") or {})
         validate_descriptor(algo)
         selector = mgql.parse_query(str(body.get("selector", "")))
-        job_id = str(body.get("job_id", ""))
-        result = run_task(self.store, self.site_id, algo, selector, job_id=job_id)
-        origin = body.get("origin") or {}
-        reported = False
-        try:
-            self._call(str(origin.get("address", "")), "TaskResult",
-                       {"job_id": job_id, "site": self.site_id, **result},
-                       timeout_ms=self.query_timeout_ms)
-            reported = True
-        except MgError:
-            pass  # the initiator times the task out and marks it failed
-        return {"state": result["state"], "reported": reported}
+        return run_task(self.store, self.site_id, algo, selector,
+                        job_id=str(body.get("job_id", "")))
 
-    def _op_task_result(self, claims: dict, body: dict) -> dict:
-        job_id = str(body.get("job_id", ""))
-        with self._jobs_lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise NotFound(f"no job {job_id!r} at {self.site_id}")
-            advance_job(job, str(body.get("site", "")), str(body.get("state", "")),
-                        int(body.get("images_selected", 0)),
-                        int(body.get("derived_written", 0)),
-                        body.get("error"), self.clock.now_ms())
-            self.store.upsert_job(job.to_dict())
-        return {"applied": True}
+
+def _failed_task(error: str) -> dict:
+    return {"state": TASK_FAILED, "images_selected": 0, "derived_written": 0, "error": error}
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_task_result(reply: dict) -> dict:
+    """A peer's RunTask reply if ``advance_job`` can take it, else ``bad response``."""
+    state = reply.get("state")
+    selected = reply.get("images_selected")
+    written = reply.get("derived_written")
+    error = reply.get("error")
+    if (state in (TASK_DONE, TASK_FAILED) and _is_count(selected) and _is_count(written)
+            and (error is None or isinstance(error, str)) and written <= selected
+            and (state == TASK_FAILED or written == selected)):
+        return {"state": state, "images_selected": selected,
+                "derived_written": written, "error": error}
+    return _failed_task("bad response")
 
 
 def _as_bytes(value) -> bytes:

@@ -65,8 +65,7 @@ class Registry:
             desc = SiteDescriptor.from_dict(entry)
             self._sites[desc.site_id] = desc
         for entry in state.get("algorithms", []):
-            algo = AlgorithmDescriptor(algo_id=entry["algo_id"], kind=entry["kind"],
-                                       params=entry.get("params", {}))
+            algo = AlgorithmDescriptor.from_dict(entry)
             self._algorithms[algo.algo_id] = algo
 
     def _save(self) -> None:
@@ -140,9 +139,7 @@ class Registry:
 
     def _op_add_algorithm(self, claims: dict, body: dict) -> dict:
         auth.require_role(claims, "admin")
-        algo = AlgorithmDescriptor(algo_id=str(body.get("algo_id", "")),
-                                   kind=str(body.get("kind", "")),
-                                   params=dict(body.get("params", {})))
+        algo = AlgorithmDescriptor.from_dict(body)
         validate_descriptor(algo)
         with self._lock:
             if algo.algo_id in self._algorithms:

@@ -56,18 +56,6 @@ def decode_payload(payload: bytes) -> dict:
     return message
 
 
-def decode_frame(frame: bytes) -> dict:
-    """Decode one complete frame (length prefix included), e.g. off a tap."""
-    if len(frame) < _LEN.size:
-        raise BadFrame(f"frame of {len(frame)} bytes has no length prefix")
-    (length,) = _LEN.unpack(frame[:_LEN.size])
-    if length > MAX_FRAME:
-        raise FrameTooLarge(f"declared length {length} exceeds {MAX_FRAME}")
-    if len(frame) != _LEN.size + length:
-        raise BadFrame(f"declared {length} payload bytes, got {len(frame) - _LEN.size}")
-    return decode_payload(frame[_LEN.size:])
-
-
 # --- sockets --------------------------------------------------------------------
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:

@@ -1,6 +1,7 @@
 """Analysis plugins, job identifiers, and the distributed job state machine."""
 
 import itertools
+import json
 import random
 import struct
 
@@ -21,6 +22,7 @@ from mgvo.harness import corpus
 from mgvo.harness.config import parse_topology
 from mgvo.harness.sim import SimVO
 from mgvo.model import PatientRecord, ImageRecord
+from mgvo.services import wire
 from mgvo.services.registry import SiteDescriptor
 from mgvo.store import SiteStore
 
@@ -623,3 +625,86 @@ def test_job_survives_origin_restart(vo):
     vo.restart("site_a")
     status = vo.job_status("site_a", job_id)
     assert status["state"] == alg.JOB_COMPLETED
+
+
+def _vo_one_image_per_site(tmp_path, topology_text):
+    vo = SimVO(parse_topology(topology_text), tmp_path / "vo")
+    vo.login("alice", "alice-pw")
+    rng = np.random.default_rng(7)
+    for site in vo.nodes:
+        arr = rng.integers(0, 200, size=(8, 8), dtype=np.uint8)
+        vo.add(site, _image_file(arr, patient=f"RAW-{site}"))
+    vo.algo_add("site_a", "density-v1", "density")
+    return vo
+
+
+def test_job_task_at_a_slow_site_fails_like_its_subquery(tmp_path):
+    vo = _vo_one_image_per_site(tmp_path, """
+registry = registry.sim:7000
+site = site_a a.sim:7001
+site = site_b b.sim:7002 latency=3000
+""")
+    rs = vo.query("site_a", "SELECT images WHERE patient.age > 0")
+    assert rs.missing == (("site_b", "timeout"),)
+
+    # 3000 ms each way misses the 5000 ms deadline for the RunTask reply too
+    job_id = vo.algo_exec("site_a", "density-v1", "SELECT images WHERE patient.age > 0")
+    vo.drain("site_a")
+    status = vo.job_status("site_a", job_id)
+    assert status["state"] == alg.JOB_PARTIAL
+    by_site = {t["site_id"]: t for t in status["tasks"]}
+    assert by_site["site_a"]["state"] == alg.TASK_DONE
+    assert by_site["site_b"]["state"] == alg.TASK_FAILED
+    assert "dispatch failed" in by_site["site_b"]["error"]
+    # what the late peer wrote stays: the log does not roll back
+    assert vo.nodes["site_b"].store.latest_derived(1, "smf").job_id == job_id
+
+
+def test_peers_send_no_request_while_running_a_task(tmp_path):
+    vo = _vo_one_image_per_site(tmp_path, """
+registry = registry.sim:7000
+site = site_a a.sim:7001
+site = site_b b.sim:7002
+site = site_c c.sim:7003
+""")
+    start = len(vo.frames())
+    job_id = vo.algo_exec("site_a", "density-v1", "SELECT images WHERE patient.age > 0")
+    vo.drain("site_a")
+    assert vo.job_status("site_a", job_id)["state"] == alg.JOB_COMPLETED
+
+    def sent(frame):
+        src = frame["link"].partition("->")[0]
+        return src, json.loads(wire.from_b64(frame["bytes_b64"])[4:])
+
+    frames = [sent(f) for f in vo.frames()[start:]]
+    run_tasks = [src for src, payload in frames if payload.get("op") == "RunTask"]
+    assert run_tasks == ["site_a", "site_a"]
+    assert [src for src, payload in frames
+            if src in ("site_b", "site_c") and "op" in payload] == []
+
+
+@pytest.mark.parametrize("reply", [
+    {},
+    [],
+    {"state": "RUNNING", "images_selected": 1, "derived_written": 1, "error": None},
+    {"state": "DONE", "images_selected": "1", "derived_written": 1, "error": None},
+    {"state": "FAILED", "images_selected": 1, "derived_written": -1, "error": "x"},
+    {"state": "DONE", "images_selected": True, "derived_written": True, "error": None},
+    {"state": "DONE", "images_selected": 1.0, "derived_written": 1, "error": None},
+    {"state": "DONE", "images_selected": 1, "derived_written": 0, "error": None},
+    {"state": "FAILED", "images_selected": 0, "derived_written": 1, "error": "x"},
+    {"state": "FAILED", "images_selected": 1, "derived_written": 0, "error": 7},
+], ids=["empty", "not an object", "not terminal", "string count", "negative count",
+        "bool counts", "float count", "DONE short of selected", "written over selected",
+        "error not text"])
+def test_malformed_run_task_reply_is_a_bad_response(vo, monkeypatch, reply):
+    vo.algo_add("site_a", "density-v1", "density")
+    monkeypatch.setattr(vo.nodes["site_b"], "_op_run_task", lambda claims, body: reply)
+    job_id = vo.algo_exec("site_a", "density-v1", "SELECT images WHERE patient.age > 0")
+    vo.drain("site_a")
+    status = vo.job_status("site_a", job_id)
+    assert status["state"] == alg.JOB_PARTIAL
+    by_site = {t["site_id"]: t for t in status["tasks"]}
+    assert by_site["site_a"]["state"] == alg.TASK_DONE
+    assert by_site["site_b"]["state"] == alg.TASK_FAILED
+    assert by_site["site_b"]["error"] == "bad response"

@@ -443,6 +443,22 @@ def test_script_bad_algo_params_become_events(tmp_path, bad):
     assert events[1]["detail"]["error"] == "BadParams"
 
 
+@pytest.mark.parametrize("real_sockets", [False, True], ids=["sim", "tcp"])
+@pytest.mark.parametrize("line", ["restart site_z", "poll site_z", "drain site_z",
+                                  "site-up site_z", "site-down site_z"])
+def test_script_unknown_site_is_a_bad_value(tmp_path, line, real_sockets):
+    reg_port, a_port = _free_ports(2)
+    topology = (f"registry = 127.0.0.1:{reg_port}\n"
+                f"site = site_a 127.0.0.1:{a_port}\n")
+    script = f"login alice alice-pw\n{line}\nsites\n"
+    entries = sim_run(topology, script, tmp_path / "run", seed=1,
+                      real_sockets=real_sockets)
+    events = [e for e in entries if e["kind"] == "event"]
+    assert [(e["action"], e["ok"]) for e in events] == [
+        ("login", True), (line.split()[0], False), ("sites", True)]
+    assert events[1]["detail"]["error"] == "BadValue"
+
+
 def test_parse_params():
     assert cfg.parse_params(["threshold=100", "sigma=1.5"]) == {
         "threshold": 100, "sigma": 1.5}

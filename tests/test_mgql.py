@@ -169,17 +169,18 @@ def test_evaluate_against_reference_semantics():
 
 
 def test_missing_fields_collapse_to_false():
-    pred = mgql.parse_expr("patient.height_m > 1.5")
+    pred = mgql.parse_query("SELECT images WHERE patient.height_m > 1.5").expr
     assert mgql.evaluate(pred, {}) is False
     # NOT negates the collapsed value: a missing field is NOT-matched
     assert mgql.evaluate(mgql.Not(pred), {}) is True
-    both = mgql.parse_expr("patient.height_m > 1.5 OR patient.age > 40")
+    both = mgql.parse_query(
+        "SELECT images WHERE patient.height_m > 1.5 OR patient.age > 40").expr
     assert mgql.evaluate(both, {"patient.age": 50}) is True
 
 
 def test_derived_kind_set_semantics():
-    eq = mgql.parse_expr("derived.kind = 'smf'")
-    ne = mgql.parse_expr("derived.kind != 'smf'")
+    eq = mgql.parse_query("SELECT images WHERE derived.kind = 'smf'").expr
+    ne = mgql.parse_query("SELECT images WHERE derived.kind != 'smf'").expr
     assert mgql.evaluate(eq, {"derived.kind": ("smf",)}) is True
     assert mgql.evaluate(eq, {"derived.kind": ("cade",)}) is False
     assert mgql.evaluate(eq, {}) is False
@@ -190,11 +191,12 @@ def test_derived_kind_set_semantics():
 
 
 def test_range_evaluation_is_inclusive():
-    pred = mgql.parse_expr("patient.age IN [40, 49]")
+    pred = mgql.parse_query("SELECT images WHERE patient.age IN [40, 49]").expr
     assert mgql.evaluate(pred, {"patient.age": 40}) is True
     assert mgql.evaluate(pred, {"patient.age": 49}) is True
     assert mgql.evaluate(pred, {"patient.age": 39}) is False
     assert mgql.evaluate(pred, {"patient.age": 50}) is False
-    dates = mgql.parse_expr("image.study_date IN [20040101, 20041231]")
+    dates = mgql.parse_query(
+        "SELECT images WHERE image.study_date IN [20040101, 20041231]").expr
     assert mgql.evaluate(dates, {"image.study_date": "20040615"}) is True
     assert mgql.evaluate(dates, {"image.study_date": "20050101"}) is False

@@ -1,10 +1,12 @@
 """Auth tokens, wire framing, registry and node services, and real sockets."""
 
 import hashlib
+import re
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +396,38 @@ def test_node_unknown_op(vo):
     with pytest.raises(RemoteError) as err:
         wire.unwrap(node.handle_request(request))
     assert err.value.code == "UnknownOp"
+
+
+def test_node_does_not_serve_task_result(vo):
+    # a remote task's outcome is its RunTask reply; no callback op exists
+    node = vo.nodes["site_a"]
+    request = wire.make_request("TaskResult", node_token(vo), {
+        "job_id": "x", "site": "site_b", "state": "DONE",
+        "images_selected": 0, "derived_written": 0})
+    with pytest.raises(RemoteError) as err:
+        wire.unwrap(node.handle_request(request))
+    assert err.value.code == "UnknownOp"
+
+
+REGISTRY_OPS = ("Authenticate", "ListSites", "RegisterSite")
+
+
+def readme_ops():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Ops:\s*(.*?)\.\n", text, re.S)
+    assert listing, "README lists no ops"
+    return re.findall(r"`(\w+)`", listing.group(1))
+
+
+def test_readme_ops_are_served(vo):
+    ops = readme_ops()
+    assert set(REGISTRY_OPS) <= set(ops) and "RunTask" in ops
+    for op in ops:
+        service = vo.registry if op in REGISTRY_OPS else vo.nodes["site_a"]
+        response = service.handle_request(wire.make_request(op, node_token(vo), {}))
+        error = response.get("error") or {}
+        assert error.get("code") != "UnknownOp", op
+        assert "does not serve" not in error.get("msg", ""), op
 
 
 def test_query_local_only_stays_local(vo):
