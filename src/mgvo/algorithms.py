@@ -77,7 +77,9 @@ class AlgorithmDescriptor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgorithmDescriptor":
-        """Unvalidated: callers that take it from outside run validate_descriptor."""
+        """Checks only the shape: callers that take it from outside run validate_descriptor."""
+        if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+            raise BadParams("a descriptor and its params are objects")
         return cls(algo_id=str(data.get("algo_id", "")), kind=str(data.get("kind", "")),
                    params=dict(data.get("params", {})))
 
@@ -340,6 +342,22 @@ def schedule_job(algo: AlgorithmDescriptor, selector: Query, origin_site: str,
     return job
 
 
+def check_task_outcome(state, images_selected, derived_written, error) -> None:
+    """Raise unless the values are a terminal task outcome that adds up."""
+    if state not in (TASK_DONE, TASK_FAILED):
+        raise BadState(f"a task outcome must be DONE or FAILED, got {state}")
+    for count in (images_selected, derived_written):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InvariantViolation(f"a task count must be an integer >= 0, got {count!r}")
+    if error is not None and not isinstance(error, str):
+        raise InvariantViolation("a task error must be text")
+    if derived_written > images_selected:
+        raise InvariantViolation(
+            f"derived_written {derived_written} > images_selected {images_selected}")
+    if state == TASK_DONE and derived_written != images_selected:
+        raise InvariantViolation("a DONE task must cover every selected image")
+
+
 def advance_job(job: JobRecord, site_id: str, state: str, images_selected: int,
                 derived_written: int, error: Optional[str], now_ms: int) -> None:
     """Apply one task outcome; finalizes the job when every task is terminal."""
@@ -350,13 +368,7 @@ def advance_job(job: JobRecord, site_id: str, state: str, images_selected: int,
         raise BadState(f"job {job.job_id} has no task at {site_id}")
     if task.state in (TASK_DONE, TASK_FAILED):
         raise BadState(f"task at {site_id} already {task.state}")
-    if state not in (TASK_DONE, TASK_FAILED):
-        raise BadState(f"a task outcome must be DONE or FAILED, got {state}")
-    if derived_written > images_selected:
-        raise InvariantViolation(
-            f"derived_written {derived_written} > images_selected {images_selected}")
-    if state == TASK_DONE and derived_written != images_selected:
-        raise InvariantViolation("a DONE task must cover every selected image")
+    check_task_outcome(state, images_selected, derived_written, error)
 
     task.state = state
     task.images_selected = images_selected

@@ -17,11 +17,12 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import federation
-from .errors import MgError
+from .errors import BadParams, MgError
 from .harness import corpus as corpus_mod
 from .harness.config import load_config, parse_params
 from .harness.sim import sim_run, transcript_text
@@ -38,7 +39,7 @@ _USER_ERRORS = {
 }
 
 
-def _fail(exc: Exception) -> None:
+def _fail(exc: Exception) -> NoReturn:
     if isinstance(exc, MgError):
         click.echo(f"error: {exc.code}: {exc}", err=True)
         sys.exit(1 if exc.code in _USER_ERRORS else 2)
@@ -74,10 +75,14 @@ def _session(cfg: dict):
 
 
 def _call(cfg: dict, op: str, body: dict, to_registry: bool = False) -> dict:
+    """The answer's body; any failure is reported and ends the command."""
     address = cfg["registry"] if to_registry else cfg["listen"]
-    transport = TcpTransport(default_timeout_ms=int(cfg.get("query_timeout_ms", 5000)) * 6)
-    request = wire.make_request(op, _session(cfg), body)
-    return wire.unwrap(transport.call(address, request))
+    transport = TcpTransport(default_timeout_ms=cfg["query_timeout_ms"] * 6)
+    try:
+        request = wire.make_request(op, _session(cfg), body)
+        return wire.unwrap(transport.call(address, request))
+    except Exception as exc:
+        _fail(exc)
 
 
 _CONFIG_OPT = click.option("--config", "config_path", default=None,
@@ -107,11 +112,10 @@ def registry_serve(config_path) -> None:
             sys.exit(1)
     try:
         reg = Registry(cfg["data_dir"], cfg["vo_secret"].encode("utf-8"),
-                       token_ttl_s=int(cfg.get("token_ttl_s", auth.DEFAULT_TTL_S)))
+                       token_ttl_s=cfg["token_ttl_s"])
         server = Server(reg.handle_request, cfg["listen"]).start()
     except MgError as exc:
         _fail(exc)
-        return
     click.echo(f"registry listening on {cfg['listen']}")
     _wait_forever(server)
 
@@ -127,11 +131,10 @@ def node_serve(config_path) -> None:
     """Run a site node until interrupted."""
     cfg = _load_cfg(config_path)
     try:
-        site = Node(cfg, TcpTransport(), auto_drain=True)
+        site = Node(cfg, TcpTransport())
         server = Server(site.handle_request, cfg["listen"]).start()
     except MgError as exc:
         _fail(exc)
-        return
     try:
         site.register_with_registry()
         click.echo(f"node {site.site_id} registered with {cfg['registry']}")
@@ -140,7 +143,7 @@ def node_serve(config_path) -> None:
     stop = threading.Event()
 
     def poll_loop() -> None:
-        while not stop.wait(site.poll_interval_s):
+        while not stop.wait(cfg["poll_interval_s"]):
             try:
                 site.register_with_registry()
             except MgError:
@@ -174,12 +177,8 @@ def login(config_path, username, password) -> None:
     cfg = _load_cfg(config_path)
     if password is None:
         password = click.prompt("password", hide_input=True)
-    try:
-        body = _call(cfg, "Authenticate", {"user": username, "password": password},
-                     to_registry=True)
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "Authenticate", {"user": username, "password": password},
+                 to_registry=True)
     path = _token_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(body["session"] + "\n", encoding="utf-8")
@@ -193,14 +192,10 @@ def login(config_path, username, password) -> None:
 def add(config_path, files) -> None:
     """Ingest DICOM files at this site (anonymized on arrival)."""
     cfg = _load_cfg(config_path)
-    try:
-        for name in files:
-            data = Path(name).read_bytes()
-            body = _call(cfg, "Add", {"file_b64": wire.to_b64(data)})
-            note = " (duplicate)" if body.get("duplicate") else ""
-            click.echo(f"{name}: {body['gfid']}{note}")
-    except Exception as exc:
-        _fail(exc)
+    for name in files:
+        body = _call(cfg, "Add", {"file_b64": wire.to_b64(Path(name).read_bytes())})
+        note = " (duplicate)" if body.get("duplicate") else ""
+        click.echo(f"{name}: {body['gfid']}{note}")
 
 
 @main.command()
@@ -210,11 +205,7 @@ def add(config_path, files) -> None:
 def get(config_path, gfid, out_path) -> None:
     """Retrieve one file by global id, wherever it lives."""
     cfg = _load_cfg(config_path)
-    try:
-        body = _call(cfg, "Retrieve", {"gfid": gfid})
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "Retrieve", {"gfid": gfid})
     Path(out_path).write_bytes(wire.from_b64(body["file_b64"]))
     click.echo(f"{body['gfid']} -> {out_path}")
 
@@ -226,11 +217,7 @@ def get(config_path, gfid, out_path) -> None:
 def query(config_path, query_text, want_xml) -> None:
     """Run a federated query from this site."""
     cfg = _load_cfg(config_path)
-    try:
-        body = _call(cfg, "Query", {"query": query_text})
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "Query", {"query": query_text})
     xml = body["resultset_xml"]
     rs = federation.from_xml(xml)
     if want_xml:
@@ -263,11 +250,10 @@ def algo_add(config_path, algo_id, kind, params) -> None:
     """Register an algorithm descriptor (admin role)."""
     cfg = _load_cfg(config_path)
     try:
-        _call(cfg, "AddAlgorithm", {"algo_id": algo_id, "kind": kind,
-                                    "params": parse_params(params)})
-    except Exception as exc:
+        params = parse_params(params)
+    except BadParams as exc:
         _fail(exc)
-        return
+    _call(cfg, "AddAlgorithm", {"algo_id": algo_id, "kind": kind, "params": params})
     click.echo(f"registered {algo_id}")
 
 
@@ -279,12 +265,8 @@ def algo_add(config_path, algo_id, kind, params) -> None:
 def algo_exec(config_path, algo_id, where) -> None:
     """Schedule a data-local job over every site holding matching images."""
     cfg = _load_cfg(config_path)
-    try:
-        body = _call(cfg, "ExecuteAlgorithm", {
-            "algo_id": algo_id, "selector": f"SELECT images WHERE {where}"})
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "ExecuteAlgorithm", {
+        "algo_id": algo_id, "selector": f"SELECT images WHERE {where}"})
     click.echo(f"job {body['job_id']} {body['state']}")
 
 
@@ -299,11 +281,7 @@ def job() -> None:
 def job_status(config_path, job_id) -> None:
     """Show one job's state and per-site task outcomes."""
     cfg = _load_cfg(config_path)
-    try:
-        body = _call(cfg, "JobStatus", {"job_id": job_id})
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "JobStatus", {"job_id": job_id})
     click.echo(json.dumps(body["job"], indent=2, sort_keys=True))
 
 
@@ -312,11 +290,7 @@ def job_status(config_path, job_id) -> None:
 def sites(config_path) -> None:
     """List the sites known to the registry."""
     cfg = _load_cfg(config_path)
-    try:
-        body = _call(cfg, "ListSites", {}, to_registry=True)
-    except Exception as exc:
-        _fail(exc)
-        return
+    body = _call(cfg, "ListSites", {}, to_registry=True)
     for desc in body["sites"]:
         vis = "public" if desc.get("public", True) else "private"
         click.echo(f"{desc['site_id']}\t{desc['address']}\t{vis}\t{desc['display_name']}")
@@ -342,7 +316,6 @@ def user_add(config_path, username, roles, password) -> None:
         auth.add_user(Path(cfg["data_dir"]) / "users.txt", username, password, roles)
     except MgError as exc:
         _fail(exc)
-        return
     click.echo(f"added {username} roles={','.join(roles)}")
 
 
@@ -362,7 +335,6 @@ def gen_corpus_cmd(seed, patients, per_patient, out_dir, rows, cols) -> None:
                                                 rows=rows, cols=cols)
     except MgError as exc:
         _fail(exc)
-        return
     manifest_path = corpus_mod.write_corpus(manifest, files, out_dir)
     click.echo(f"wrote {len(files)} files and {manifest_path}")
 
@@ -397,7 +369,6 @@ def sim_cmd(topology_path, script_path, workdir, seed, real_sockets,
                               real_sockets=real_sockets, base_dir=base_dir)
     except MgError as exc:
         _fail(exc)
-        return
     text = transcript_text(entries)
     if transcript_path:
         Path(transcript_path).write_text(text, encoding="utf-8")

@@ -10,8 +10,10 @@ Config files are ``key = value`` pairs (``#`` comments, blank lines ignored)::
     data_dir = /var/mgvo/site_a
     site_secret = 0123456789abcdef0123456789abcdef
     vo_secret = fedcba9876543210fedcba9876543210
-    query_timeout_ms = 5000
-    poll_interval_s = 10
+
+A key the file leaves out takes its value from the node's
+``CONFIG_DEFAULTS`` (``query_timeout_ms``, ``poll_interval_s``,
+``token_ttl_s``, ``public``).
 
 Topology files describe a whole VO for the simulator::
 
@@ -30,15 +32,10 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import BadParams, BadValue
+from ..services.node import CONFIG_DEFAULTS
 
 _INT_KEYS = ("query_timeout_ms", "poll_interval_s", "token_ttl_s")
 _BOOL_KEYS = ("public",)
-
-CONFIG_DEFAULTS = {
-    "query_timeout_ms": 5000,
-    "poll_interval_s": 10,
-    "public": True,
-}
 
 
 def parse_config_text(text: str) -> dict:

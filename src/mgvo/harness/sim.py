@@ -49,8 +49,8 @@ DEFAULT_USERS = (
 
 
 class VirtualClock:
-    def __init__(self, start_ms: int = DEFAULT_START_MS):
-        self._now_ms = start_ms
+    def __init__(self):
+        self._now_ms = DEFAULT_START_MS
 
     def now_ms(self) -> int:
         return self._now_ms
@@ -153,7 +153,7 @@ class _VO:
     id or ``"registry"``.
     """
 
-    def __init__(self, topology: Topology, workdir, seed: int, users):
+    def __init__(self, topology: Topology, workdir, seed: int):
         self.topology = topology
         self.workdir = Path(workdir)
         self.seed = seed
@@ -161,7 +161,7 @@ class _VO:
 
         self.registry = Registry(self.workdir / "registry", self.vo_secret,
                                  clock=self.clock)
-        for user, password, roles in users:
+        for user, password, roles in DEFAULT_USERS:
             self.registry.add_user(user, password, roles)
 
         self.nodes: dict = {}
@@ -356,9 +356,8 @@ class _VO:
 class SimVO(_VO):
     """The VO on the simulated network, in virtual time."""
 
-    def __init__(self, topology: Topology, workdir, seed: int = 0,
-                 users=DEFAULT_USERS, start_ms: int = DEFAULT_START_MS):
-        self.clock = VirtualClock(start_ms)
+    def __init__(self, topology: Topology, workdir, seed: int = 0):
+        self.clock = VirtualClock()
         self.net = SimNet(self.clock)
         self.client = self.net.transport_for("client")
         self.net.add_endpoint("registry", topology.registry_address,
@@ -366,7 +365,7 @@ class SimVO(_VO):
         for site in topology.sites:
             self.net.add_endpoint(site.site_id, site.address,
                                   self._handler(site.site_id), site.latency_ms)
-        super().__init__(topology, workdir, seed, users)
+        super().__init__(topology, workdir, seed)
 
     def _make_node(self, config: dict, rng: random.Random) -> Node:
         return Node(config, self.net.transport_for(config["site_id"]),
@@ -407,16 +406,15 @@ class _TappedTransport:
 class RealVO(_VO):
     """The VO over loopback TCP: one server per endpoint, auto-draining nodes, wall time."""
 
-    def __init__(self, topology: Topology, workdir, seed: int = 0,
-                 users=DEFAULT_USERS):
+    def __init__(self, topology: Topology, workdir, seed: int = 0):
         self.clock = auth.SystemClock()
         self.net = Tap(self.clock)
         self.client = _TappedTransport(TcpTransport(default_timeout_ms=60_000), self.net)
         self.servers: dict = {}
-        super().__init__(topology, workdir, seed, users)
+        super().__init__(topology, workdir, seed)
 
     def _make_node(self, config: dict, rng: random.Random) -> Node:
-        return Node(config, TcpTransport(), clock=self.clock, rng=rng, auto_drain=True)
+        return Node(config, TcpTransport(), clock=self.clock, rng=rng)
 
     def _is_up(self, name: str) -> bool:
         return name in self.servers

@@ -286,7 +286,10 @@ class _Parser:
             except BadValue as exc:
                 raise TypeMismatch(f"{field} takes a YYYYMMDD date: {exc}") from exc
             return tok.text
-        return float(tok.text) if "." in tok.text else int(tok.text)
+        try:
+            return float(tok.text) if "." in tok.text else int(tok.text)
+        except ValueError:
+            raise QuerySyntaxError(f"bad number {tok.text!r}", tok.pos, "number") from None
 
 
 def parse_query(text: str) -> Query:

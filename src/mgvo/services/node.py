@@ -8,7 +8,10 @@ rows, result counts, and files a clinician explicitly retrieves.
 
 Transports are pluggable: real TCP in production, an in-process simulated
 network in tests. A transport exposes ``call(address, request, timeout_ms)``
-and a ``concurrent`` flag saying whether fan-out may use threads.
+and a ``concurrent`` flag saying whether the node may use threads of its
+own: to fan a query out, and to drain a job in the background. Without it
+the caller drains jobs (``drain_job``), so the simulator's virtual clock
+sees one call at a time.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from .. import dicom, federation, mgql
 from ..algorithms import (
     JOB_DISPATCHED,
     JOB_RUNNING,
-    TASK_DONE,
     TASK_FAILED,
     TASK_PENDING,
     TASK_RUNNING,
     AlgorithmDescriptor,
     JobRecord,
     advance_job,
+    check_task_outcome,
     new_job_id,
     run_task,
     schedule_job,
@@ -66,6 +69,14 @@ from ..store import SiteStore
 
 _REQUIRED_CONFIG = ("site_id", "listen", "registry", "data_dir", "site_secret", "vo_secret")
 
+#: The value of each optional config key that a config leaves out.
+CONFIG_DEFAULTS = {
+    "query_timeout_ms": 5000,
+    "poll_interval_s": 10,
+    "token_ttl_s": auth.DEFAULT_TTL_S,
+    "public": True,
+}
+
 
 def _as_bool(value) -> bool:
     if isinstance(value, str):
@@ -74,11 +85,11 @@ def _as_bool(value) -> bool:
 
 
 class Node:
-    def __init__(self, config: dict, transport, clock=None, rng=None,
-                 auto_drain: bool = False):
+    def __init__(self, config: dict, transport, clock=None, rng=None):
         for key in _REQUIRED_CONFIG:
             if not config.get(key):
                 raise InvariantViolation(f"node config lacks {key!r}")
+        config = {**CONFIG_DEFAULTS, **config}
         self.site_id = str(config["site_id"])
         if not SITE_ID_RE.match(self.site_id):
             raise InvariantViolation(f"bad site_id {self.site_id!r}")
@@ -86,17 +97,15 @@ class Node:
         self.registry_address = str(config["registry"])
         self.site_secret = _as_bytes(config["site_secret"])
         self.vo_secret = _as_bytes(config["vo_secret"])
-        self.query_timeout_ms = int(config.get("query_timeout_ms", 5000))
-        self.poll_interval_s = int(config.get("poll_interval_s", 10))
-        self.token_ttl_s = int(config.get("token_ttl_s", auth.DEFAULT_TTL_S))
+        self.query_timeout_ms = int(config["query_timeout_ms"])
+        self.token_ttl_s = int(config["token_ttl_s"])
         self.display_name = str(config.get("display_name") or self.site_id)
-        self.public = _as_bool(config.get("public", True))
+        self.public = _as_bool(config["public"])
 
         self.store = SiteStore(config["data_dir"])
         self.transport = transport
         self.clock = clock or auth.SystemClock()
         self.rng = rng if rng is not None else random.SystemRandom()
-        self.auto_drain = auto_drain
 
         self._topo_lock = threading.RLock()
         self._jobs_lock = threading.RLock()
@@ -123,22 +132,22 @@ class Node:
         return self._token
 
     def _call(self, address: str, op: str, body: dict,
-              timeout_ms: Optional[int] = None, session: Optional[str] = None) -> dict:
+              session: Optional[str] = None) -> dict:
         request = wire.make_request(op, session or self._service_token(), body)
-        return wire.unwrap(self.transport.call(address, request, timeout_ms=timeout_ms))
+        return wire.unwrap(self.transport.call(address, request,
+                                               timeout_ms=self.query_timeout_ms))
 
     def register_with_registry(self) -> None:
         self._call(self.registry_address, "RegisterSite", {
             "site_id": self.site_id, "display_name": self.display_name,
             "address": self.listen, "public": self.public,
-        }, timeout_ms=self.query_timeout_ms)
+        })
         self.refresh_topology()
 
     def refresh_topology(self) -> bool:
         """Pull the site directory and algorithm catalog; keep the cache on failure."""
         try:
-            body = self._call(self.registry_address, "ListSites", {},
-                              timeout_ms=self.query_timeout_ms)
+            body = self._call(self.registry_address, "ListSites", {})
         except MgError:
             return False
         with self._topo_lock:
@@ -241,8 +250,7 @@ class Node:
         if desc is None:
             raise NotFound(f"no site {gfid.site_id!r} in the VO")
         try:
-            return self._call(desc.address, "Retrieve", {"gfid": str(gfid)},
-                              timeout_ms=self.query_timeout_ms)
+            return self._call(desc.address, "Retrieve", {"gfid": str(gfid)})
         except (Timeout, ConnectionRefused) as exc:
             raise RemoteUnreachable(f"{gfid.site_id}: {exc}") from None
         except RemoteError as exc:
@@ -286,8 +294,7 @@ class Node:
 
         def ask(site_id: str, subquery: mgql.Query):
             body = {"query": mgql.print_query(subquery), "local_only": True}
-            reply = self._call(addresses[site_id], "Query", body,
-                               timeout_ms=self.query_timeout_ms)
+            reply = self._call(addresses[site_id], "Query", body)
             return federation.from_part(reply.get("part"), site_id, subquery.target)
 
         def outcome(site_id: str, subquery: mgql.Query):
@@ -303,7 +310,7 @@ class Node:
                 return None, (site_id, "bad response")
 
         remote = decomposed.remote
-        if getattr(self.transport, "concurrent", False) and len(remote) > 1:
+        if self.transport.concurrent and len(remote) > 1:
             with ThreadPoolExecutor(max_workers=len(remote)) as pool:
                 results = list(pool.map(lambda sq: outcome(*sq), remote))
         else:
@@ -322,8 +329,7 @@ class Node:
     def _op_add_algorithm(self, session: Optional[str], body: dict) -> dict:
         # Forwarded verbatim under the caller's own session: the registry is
         # the one place that checks the admin role and catalog uniqueness.
-        out = self._call(self.registry_address, "AddAlgorithm", body,
-                         timeout_ms=self.query_timeout_ms, session=session)
+        out = self._call(self.registry_address, "AddAlgorithm", body, session=session)
         self.refresh_topology()
         return out
 
@@ -332,7 +338,7 @@ class Node:
         if selector.exec_algo is not None or selector.target != "images":
             raise BadParams("a job selector must be SELECT images WHERE ...")
         job = self._schedule_job(str(body.get("algo_id", "")), selector)
-        if self.auto_drain and job.state == JOB_DISPATCHED:
+        if self.transport.concurrent and job.state == JOB_DISPATCHED:
             threading.Thread(target=self.drain_job, args=(job.job_id,),
                              daemon=True).start()
         return {"job_id": job.job_id, "state": job.state}
@@ -391,13 +397,15 @@ class Node:
         try:
             reply = self._call(desc.address, "RunTask", {
                 "job_id": job.job_id, "algo": algo.to_dict(), "selector": task.selector,
-            }, timeout_ms=self.query_timeout_ms)
+            })
+            check_task_outcome(reply.get("state"), reply.get("images_selected"),
+                               reply.get("derived_written"), reply.get("error"))
         except (Timeout, ConnectionRefused, RemoteError) as exc:
             reason = exc.code if isinstance(exc, RemoteError) else str(exc)
             return _failed_task(f"dispatch failed: {reason}")
         except MgError:
             return _failed_task("bad response")
-        return _checked_task_result(reply)
+        return reply
 
     def _apply_task_result(self, job: JobRecord, site_id: str, result: dict) -> None:
         with self._jobs_lock:
@@ -417,24 +425,6 @@ class Node:
 
 def _failed_task(error: str) -> dict:
     return {"state": TASK_FAILED, "images_selected": 0, "derived_written": 0, "error": error}
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _checked_task_result(reply: dict) -> dict:
-    """A peer's RunTask reply if ``advance_job`` can take it, else ``bad response``."""
-    state = reply.get("state")
-    selected = reply.get("images_selected")
-    written = reply.get("derived_written")
-    error = reply.get("error")
-    if (state in (TASK_DONE, TASK_FAILED) and _is_count(selected) and _is_count(written)
-            and (error is None or isinstance(error, str)) and written <= selected
-            and (state == TASK_FAILED or written == selected)):
-        return {"state": state, "images_selected": selected,
-                "derived_written": written, "error": error}
-    return _failed_task("bad response")
 
 
 def _as_bytes(value) -> bytes:

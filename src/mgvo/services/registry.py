@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from threading import RLock
-from typing import Optional
 
 from . import auth, wire
 from ..algorithms import AlgorithmDescriptor, validate_descriptor
@@ -152,11 +151,3 @@ class Registry:
 
     def add_user(self, username: str, password: str, roles) -> None:
         auth.add_user(self.users_path, username, password, roles)
-
-    def sites(self) -> list:
-        with self._lock:
-            return list(self._sites.values())
-
-    def site(self, site_id: str) -> Optional[SiteDescriptor]:
-        with self._lock:
-            return self._sites.get(site_id)

@@ -436,6 +436,21 @@ def test_state_machine_counting_invariants():
     assert job.state == alg.JOB_FAILED
 
 
+@pytest.mark.parametrize("outcome", [
+    (alg.TASK_DONE, "1", 1, None),
+    (alg.TASK_FAILED, 1, -1, "x"),
+    (alg.TASK_DONE, True, True, None),
+    (alg.TASK_DONE, 1.0, 1, None),
+    (alg.TASK_FAILED, 1, 0, 7),
+], ids=["string count", "negative count", "bool counts", "float count", "error not text"])
+def test_state_machine_rejects_malformed_outcomes(outcome):
+    job = alg.schedule_job(DENSITY, selector(), "site_a", TOPOLOGY_3[:1], "J", 1000)
+    with pytest.raises(InvariantViolation):
+        alg.advance_job(job, "site_a", *outcome, 2000)
+    assert job.state == alg.JOB_DISPATCHED
+    assert job.tasks[0].state == alg.TASK_PENDING
+
+
 def test_job_record_round_trip():
     job = alg.schedule_job(DENSITY, selector(), "site_a", TOPOLOGY_3, "JOBX", 1000)
     _apply(job, "site_b", True)

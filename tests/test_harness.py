@@ -551,7 +551,7 @@ def cluster(tmp_path):
         "site_secret": "site-a-secret-0123456789abcdef",
         "vo_secret": VO_SECRET,
     }
-    node = Node(config, TcpTransport(), auto_drain=True)
+    node = Node(config, TcpTransport())
     node.register_with_registry()
 
     conf_path = tmp_path / "cli.conf"

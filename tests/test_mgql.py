@@ -91,6 +91,11 @@ def test_syntax_errors_carry_positions():
         mgql.parse_query("SELECT images WHERE image.view = 'CC")
     assert "unterminated" in str(err.value)
 
+    with pytest.raises(QuerySyntaxError) as err:
+        mgql.parse_query("SELECT images WHERE patient.age > 1.2.3")
+    assert err.value.position == 34
+    assert err.value.expected == "number"
+
 
 def test_syntax_error_shapes():
     bad = [
@@ -104,6 +109,8 @@ def test_syntax_error_shapes():
         "SELECT images WHERE patient.age IN [40 49]",
         "SELECT images WHERE patient.age ? 40",
         "EXEC WHERE patient.age > 40",
+        "SELECT images WHERE patient.age > 1.2.3",
+        "SELECT images WHERE patient.age IN [1..2, 3]",
     ]
     for text in bad:
         with pytest.raises(QuerySyntaxError):

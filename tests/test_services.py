@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mgvo import dicom, federation
+from mgvo.algorithms import AlgorithmDescriptor
 from mgvo.errors import (
     AuthFailure,
     BadCredentials,
@@ -28,6 +29,7 @@ from mgvo.errors import (
 from mgvo.harness.config import parse_topology
 from mgvo.harness.sim import SimVO
 from mgvo.services import auth, wire
+from mgvo.services.node import Node
 from mgvo.services.registry import Registry
 from mgvo.services.tcp import Server, TcpTransport
 
@@ -483,6 +485,62 @@ def test_query_syntax_errors_propagate(vo):
     with pytest.raises(RemoteError) as err:
         vo.query("site_a", "SELECT images WHERE patient.nope > 0")
     assert err.value.code == "UnknownField"
+
+
+def test_query_bad_number_is_a_syntax_error(vo):
+    for text in ("SELECT images WHERE patient.age > 1.2.3",
+                 "SELECT images WHERE patient.age IN [1..2, 3]"):
+        with pytest.raises(RemoteError) as err:
+            vo.query("site_a", text)
+        assert err.value.code == "SyntaxError", text
+
+
+SELECT_ALL = "SELECT images WHERE patient.age > 0"
+
+
+@pytest.mark.parametrize("service, op, body", [
+    ("site_a", "AddAlgorithm", {"algo_id": "d-v1", "kind": "density", "params": "abc"}),
+    ("registry", "AddAlgorithm", {"algo_id": "d-v1", "kind": "density", "params": "abc"}),
+    ("site_a", "RunTask", {"job_id": "j", "algo": "density", "selector": SELECT_ALL}),
+    ("site_a", "RunTask", {"job_id": "j", "selector": SELECT_ALL,
+                           "algo": {"algo_id": "d-v1", "kind": "density", "params": "abc"}}),
+    ("site_a", "RunTask", {"job_id": "j", "selector": SELECT_ALL,
+                           "algo": {"algo_id": "d-v1", "kind": "density", "params": []}}),
+], ids=["node params text", "registry params text", "run-task algo text",
+        "run-task params text", "run-task params list"])
+def test_malformed_descriptor_is_bad_params(vo, service, op, body):
+    target = vo.registry if service == "registry" else vo.nodes[service]
+    session = node_token(vo, roles=("clinician", "admin"))
+    response = target.handle_request(wire.make_request(op, session, body))
+    assert response["status"] == "error"
+    assert response["error"]["code"] == "BadParams"
+
+
+def test_node_on_tcp_drains_a_job_on_its_own_thread(tmp_path):
+    node = Node({
+        "site_id": "site_a", "listen": "127.0.0.1:1", "registry": "127.0.0.1:2",
+        "data_dir": str(tmp_path / "site_a"),
+        "site_secret": "site-a-secret-0123456789abcdef", "vo_secret": VO_SECRET,
+    }, TcpTransport())
+    node.algorithms["density-v1"] = AlgorithmDescriptor("density-v1", "density")
+    session = auth.issue_token(VO_SECRET, "alice", ["clinician"], int(time.time() * 1000))
+
+    def ask(op, body):
+        return wire.unwrap(node.handle_request(wire.make_request(op, session, body)))
+
+    try:
+        ask("Add", {"file_b64": wire.to_b64(sample_file())})
+        job_id = ask("ExecuteAlgorithm", {"algo_id": "density-v1",
+                                          "selector": SELECT_ALL})["job_id"]
+        deadline = time.monotonic() + 10
+        while (ask("JobStatus", {"job_id": job_id})["job"]["state"] != "COMPLETED"
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        job = ask("JobStatus", {"job_id": job_id})["job"]
+        assert job["state"] == "COMPLETED"
+        assert [t["derived_written"] for t in job["tasks"]] == [1]
+    finally:
+        node.store.close()
 
 
 def test_node_add_algorithm_enforces_registry_admin(vo):
