@@ -395,12 +395,7 @@ def run_task(store, site_id: str, algo: AlgorithmDescriptor, selector: Query,
     (its error text is kept); records already written stay — the log does not
     roll back.
     """
-    expr = selector.expr
-
-    def pred(row: dict) -> bool:
-        return mgql.evaluate(expr, {**row, "site.id": site_id})
-
-    rows = store.scan(pred, "images")
+    rows = federation.select(store, site_id, selector)
     written = 0
     for row in rows:
         try:

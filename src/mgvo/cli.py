@@ -292,7 +292,7 @@ def sites(config_path) -> None:
     cfg = _load_cfg(config_path)
     body = _call(cfg, "ListSites", {}, to_registry=True)
     for desc in body["sites"]:
-        vis = "public" if desc.get("public", True) else "private"
+        vis = "public" if desc["public"] else "private"
         click.echo(f"{desc['site_id']}\t{desc['address']}\t{vis}\t{desc['display_name']}")
 
 

@@ -23,7 +23,7 @@ from .errors import (
     TruncatedElement,
     UnsupportedTransferSyntax,
 )
-from .model import parse_ymd
+from .model import LATERALITIES, SEXES, VIEWS, parse_ymd
 
 TRANSFER_SYNTAX_LE_EXPLICIT = "1.2.840.10008.1.2.1"
 
@@ -303,11 +303,11 @@ def extract_metadata(ts: TagSet) -> ImageMeta:
         raise BadValue("empty PatientID")
     parse_ymd(meta.birth_date)
     parse_ymd(meta.study_date)
-    if meta.sex not in ("F", "M", "O"):
+    if meta.sex not in SEXES:
         raise BadValue(f"bad PatientSex {meta.sex!r}")
-    if meta.laterality not in ("L", "R"):
+    if meta.laterality not in LATERALITIES:
         raise BadValue(f"bad ImageLaterality {meta.laterality!r}")
-    if meta.view not in ("CC", "MLO"):
+    if meta.view not in VIEWS:
         raise BadValue(f"bad ViewPosition {meta.view!r}")
     if meta.rows < 1 or meta.cols < 1:
         raise BadValue("image dimensions must be positive")

@@ -122,10 +122,6 @@ class UnknownSite(MgError):
     pass
 
 
-class ColumnMismatch(MgError):
-    pass
-
-
 class MalformedXml(MgError):
     pass
 

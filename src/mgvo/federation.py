@@ -29,7 +29,7 @@ standard entity escapes, attribute order fixed::
 
 An empty, complete set is exactly ``<resultset target="..." complete="true"/>``.
 The dialect carries no column declaration, so a rowless set decodes with
-empty columns; merge treats rowless parts as column-compatible.
+empty columns.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import mgql
-from .errors import (ColumnMismatch, InvariantViolation, MalformedXml, MgError,
-                     SchemaViolation, UnknownSite)
+from .errors import MalformedXml, MgError, SchemaViolation, UnknownSite
 from .model import format_gfid, parse_gfid
 from .mgql import And, Expr, Not, Or, Pred, Query
 
@@ -162,67 +161,45 @@ def analyze(query: Query, self_site: str, topology: Sequence) -> DecomposedQuery
 
 # --- execution and merge ----------------------------------------------------------
 
+def select(store: "SiteStore", site_id: str, query: Query) -> list:
+    """The rows of this site's store that ``query`` selects.
+
+    ``site.id`` is folded to a constant for this site first, so a part that
+    cannot match scans nothing, one that matches everything scans without a
+    predicate, and the rest are evaluated on each row as stored.
+    """
+    expr = _residual(query.expr, site_id)
+    if expr is False:
+        return []
+    if expr is True:
+        return store.scan(None, query.target)
+    return store.scan(lambda row: mgql.evaluate(expr, row), query.target)
+
+
 def execute_local(store: "SiteStore", site_id: str, query: Query) -> ResultSet:
     """Run one decomposed part against this site's store."""
-    expr = query.expr
-
-    def pred(row: dict) -> bool:
-        return mgql.evaluate(expr, {**row, "site.id": site_id})
-
-    matched = store.scan(pred, query.target)
-    if query.target == "images":
-        columns = IMAGE_COLUMNS
-        rows = tuple(
-            ResultRow(site_id, format_gfid(site_id, row["_local_id"]),
-                      tuple(render_value(row.get(c)) for c in columns))
-            for row in matched)
-    else:
-        columns = PATIENT_COLUMNS
-        rows = tuple(
-            ResultRow(site_id, row["_pid"],
-                      tuple(render_value(row.get(c)) for c in columns))
-            for row in matched)
+    images = query.target == "images"
+    columns = IMAGE_COLUMNS if images else PATIENT_COLUMNS
+    rows = tuple(
+        ResultRow(site_id,
+                  format_gfid(site_id, row["_local_id"]) if images else row["_pid"],
+                  tuple(render_value(row.get(c)) for c in columns))
+        for row in select(store, site_id, query))
     return ResultSet(query.target, columns, rows, True, ())
 
 
-def merge(parts: Sequence[ResultSet], failed: Sequence = (),
-          target: Optional[str] = None) -> ResultSet:
+def merge(parts: Sequence[ResultSet], failed: Sequence, target: str) -> ResultSet:
     """Combine per-site parts; failures become ``missing`` entries.
 
-    Each part holds the rows of one site, already in canonical order, so
-    the parts are ordered by site and concatenated; no row is sorted.
-    Rowless parts cannot disagree on columns (the XML form drops them), so
-    the canonical column list comes from the first part that has rows.
+    Trusts parts already checked by ``execute_local`` or ``from_part``: each
+    holds the rows of one site, at most one part a site, in canonical order
+    and with the ``target``'s columns. So the rowed parts are ordered by site
+    and concatenated; no row is sorted. Rowless parts add nothing, not even
+    columns (the XML form drops them).
     """
-    parts = list(parts)
-    if parts:
-        target = parts[0].target
-        for part in parts[1:]:
-            if part.target != target:
-                raise ColumnMismatch(f"mixed targets {target!r} and {part.target!r}")
-    elif target is None:
-        raise ColumnMismatch("nothing to merge and no target given")
-
-    columns: tuple = ()
-    for part in parts:
-        if part.rows:
-            if columns and part.columns != columns:
-                raise ColumnMismatch(f"column lists differ: {columns} vs {part.columns}")
-            columns = columns or part.columns
-    if not columns and parts:
-        columns = parts[0].columns
-
-    by_site = {}
-    for part in parts:
-        if not part.rows:
-            continue
-        site = part.rows[0].site_id
-        if any(row.site_id != site for row in part.rows):
-            raise InvariantViolation(f"a part mixes rows of {site!r} and other sites")
-        if site in by_site:
-            raise InvariantViolation(f"two parts from site {site!r}")
-        by_site[site] = part.rows
-    rows = tuple(row for site in sorted(by_site) for row in by_site[site])
+    rowed = sorted((part for part in parts if part.rows), key=lambda p: p.rows[0].site_id)
+    columns = rowed[0].columns if rowed else ()
+    rows = tuple(row for part in rowed for row in part.rows)
     missing = tuple(sorted(failed))
     return ResultSet(target, columns, rows, not missing, missing)
 

@@ -65,7 +65,7 @@ from ..model import (
     parse_gfid,
     pseudonymize,
 )
-from ..store import SiteStore
+from ..store import BlobRef, SiteStore
 
 _REQUIRED_CONFIG = ("site_id", "listen", "registry", "data_dir", "site_secret", "vo_secret")
 
@@ -221,20 +221,13 @@ class Node:
                                 height_m=meta.height_m, weight_kg=meta.weight_kg)
         patient.validate(current_year=year_now)
 
-        sha = hashlib.sha256(anonymized).hexdigest()
-        with self.store._lock:
-            existing = self.store.find_image_by_blob(sha)
-            if existing is not None:
-                return {"gfid": str(GlobalFileId(self.site_id, existing)),
-                        "duplicate": True}
-            blob = self.store.put_blob(anonymized, sha)
-            self.store.upsert_patient(patient)
-            local_id = self.store.insert_image(ImageRecord(
-                local_id=0, pid=pid, modality=meta.modality,
-                laterality=meta.laterality, view=meta.view,
-                study_date=meta.study_date, age_at_study=age,
-                rows=meta.rows, cols=meta.cols, blob=blob))
-        return {"gfid": str(GlobalFileId(self.site_id, local_id)), "duplicate": False}
+        blob = BlobRef(hashlib.sha256(anonymized).hexdigest(), len(anonymized))
+        local_id, duplicate = self.store.add_image(anonymized, patient, ImageRecord(
+            local_id=0, pid=pid, modality=meta.modality,
+            laterality=meta.laterality, view=meta.view,
+            study_date=meta.study_date, age_at_study=age,
+            rows=meta.rows, cols=meta.cols, blob=blob))
+        return {"gfid": str(GlobalFileId(self.site_id, local_id)), "duplicate": duplicate}
 
     # --- Retrieve ----------------------------------------------------------------------
 

@@ -36,7 +36,7 @@ class SiteDescriptor:
     @classmethod
     def from_dict(cls, data: dict) -> "SiteDescriptor":
         return cls(site_id=data["site_id"], display_name=data["display_name"],
-                   address=data["address"], public=bool(data.get("public", True)))
+                   address=data["address"], public=bool(data["public"]))
 
 
 class Registry:

@@ -201,6 +201,21 @@ class SiteStore:
             self._apply_image(image)
             return image.local_id
 
+    def add_image(self, data: bytes, patient: PatientRecord,
+                  image: ImageRecord) -> tuple[int, bool]:
+        """Store an image file and its records unless its bytes are already here.
+
+        ``image.blob`` is ``data``'s ``BlobRef``. Returns the image's local id
+        and whether the file was a duplicate, decided under the store's lock.
+        """
+        with self._lock:
+            existing = self.find_image_by_blob(image.blob.sha256)
+            if existing is not None:
+                return existing, True
+            self.put_blob(data, image.blob.sha256)
+            self.upsert_patient(patient)
+            return self.insert_image(image), False
+
     def _apply_image(self, image: ImageRecord) -> None:
         self._images[image.local_id] = image
         self._image_by_blob[image.blob.sha256] = image.local_id

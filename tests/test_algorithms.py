@@ -560,7 +560,8 @@ def vo(tmp_path):
                           ("site_b", "RAW-B1")):
         arr = rng.integers(0, 200, size=(8, 8), dtype=np.uint8)
         vo.add(site, _image_file(arr, patient=patient))
-    return vo
+    yield vo
+    vo.close()
 
 
 def test_execute_algorithm_end_to_end(vo):

@@ -298,7 +298,8 @@ def sample_file(patient="MRN0000001", **kw) -> bytes:
 def vo(tmp_path):
     vo = SimVO(TOPOLOGY, tmp_path / "vo")
     vo.login("alice", "alice-pw")
-    return vo
+    yield vo
+    vo.close()
 
 
 def node_token(vo, roles=("clinician",)):

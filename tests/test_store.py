@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -89,6 +91,50 @@ def test_insert_image_requires_patient(tmp_path):
         store.insert_image(make_image(store, pid=PID2))
     with pytest.raises(UnknownPatient):
         store.patient(PID2)
+
+
+def test_add_image_stores_a_file_once(tmp_path):
+    store = SiteStore(tmp_path)
+    data = b"added-once"
+    assert store.add_image(data, make_patient(), make_image(store, data=data)) == (1, False)
+    log_size = (tmp_path / "meta.log").stat().st_size
+    again = make_image(store, pid=PID2, data=data)
+    assert store.add_image(data, make_patient(pid=PID2), again) == (1, True)
+    assert (tmp_path / "meta.log").stat().st_size == log_size  # a duplicate logs nothing
+    with pytest.raises(UnknownPatient):
+        store.patient(PID2)
+    store.close()
+
+
+def test_concurrent_adds_of_one_file_store_it_once(tmp_path):
+    store = SiteStore(tmp_path)
+
+    def race(data):
+        records = [(make_patient(), make_image(store, data=data)) for _ in range(16)]
+        start = threading.Barrier(len(records))
+        results = []
+
+        def add(patient, image):
+            start.wait(timeout=10)
+            results.append(store.add_image(data, patient, image))
+
+        threads = [threading.Thread(target=add, args=record) for record in records]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        return sorted(results)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(1, 6):
+            assert race(f"raced-file-{n}".encode()) == [(n, False)] + [(n, True)] * 15
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(store.dump_rows()) == 5
+    store.close()
 
 
 def test_find_image_by_blob(tmp_path):
