@@ -30,11 +30,18 @@ standard entity escapes, attribute order fixed::
 An empty, complete set is exactly ``<resultset target="..." complete="true"/>``.
 The dialect carries no column declaration, so a rowless set decodes with
 empty columns.
+
+Clients accept exactly the bytes ``to_xml`` writes: ``from_xml`` reads that
+one grammar with no XML parser. Input that is not UTF-8, or not text from a
+``<`` to a ``>``, raises MalformedXml; every other departure, from the
+grammar or from the row order, row ids and ``complete`` flag that ``merge``
+guarantees, raises SchemaViolation. So what decodes re-encodes to the same
+bytes.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -248,53 +255,102 @@ def _checked_key(target: str, site: str, row_id: str) -> tuple:
     return (site, gfid.local_id)
 
 
-def from_xml(data) -> ResultSet:
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
+# The grammar of what ``to_xml`` writes. A value is a run of any character
+# but the five that ``_esc`` escapes, or one of their five entities.
+_VALUE = r"""([^<>&"']*(?:&(?:amp|lt|gt|quot|apos);[^<>&"']*)*)"""
+_HEAD = re.compile(f'<resultset target="{_VALUE}" complete="{_VALUE}"(/?)>')
+_ROW_HEAD = f'\n  <row site="{_VALUE}" id="{_VALUE}"'
+_ROW = re.compile(_ROW_HEAD + "(/?)>")
+_BARE_ROW = re.compile(_ROW_HEAD + "/>")
+_COL = re.compile(f'\n    <col name="{_VALUE}">{_VALUE}</col>')
+_ROW_END = "\n  </row>"
+_MISSING = re.compile(f'\n  <missing site="{_VALUE}" reason="{_VALUE}"/>')
+_TAIL = "\n</resultset>"
+_ENTITIES = (("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&apos;", "'"), ("&amp;", "&"))
 
-    _require(root.tag == "resultset", f"root element is {root.tag!r}")
-    target = root.get("target")
-    complete_text = root.get("complete")
+
+def _unesc(text: str) -> str:
+    """Undo ``_esc`` on a value the grammar matched; ``&amp;`` goes last."""
+    if "&" in text:
+        for entity, char in _ENTITIES:
+            text = text.replace(entity, char)
+    return text
+
+
+def _row_shape(text: str, pos: int) -> Optional[tuple]:
+    """(columns, row pattern) of the row at ``pos``, or None if none is there.
+
+    The pattern matches one whole row with exactly those columns, so the
+    first row fixes it for every row after.
+    """
+    head = _ROW.match(text, pos)
+    if head is None:
+        return None
+    if head.group(3):
+        return (), _BARE_ROW
+    names = []
+    pos = head.end()
+    while (col := _COL.match(text, pos)) is not None:
+        names.append(col.group(1))
+        pos = col.end()
+    if not names or not text.startswith(_ROW_END, pos):
+        return None
+    cols = "".join(f'\n    <col name="{re.escape(name)}">{_VALUE}</col>' for name in names)
+    return (tuple(map(_unesc, names)),
+            re.compile(_ROW_HEAD + ">" + cols + re.escape(_ROW_END)))
+
+
+def from_xml(data) -> ResultSet:
+    """Decode result XML, ``bytes`` or ``str``, accepting exactly what ``to_xml`` writes.
+
+    Input that is not UTF-8, or not text from a ``<`` to a ``>``, raises
+    MalformedXml; any other departure from the canonical bytes, or from the
+    order and consistency ``to_xml``'s input keeps, raises SchemaViolation.
+    So whatever decodes re-encodes to the same bytes.
+    """
+    try:
+        if isinstance(data, str):
+            data.encode("utf-8")  # a lone surrogate has no UTF-8 form
+            text = data
+        else:
+            text = data.decode("utf-8")
+    except UnicodeError as exc:
+        raise MalformedXml(f"result XML is not UTF-8: {exc}") from exc
+    if not (text.startswith("<") and text.endswith(">")):
+        raise MalformedXml("result XML is not text from '<' to '>'")
+
+    head = _HEAD.match(text)
+    _require(head is not None, "result XML does not open with a canonical resultset tag")
+    target, complete_text, empty = head.groups()
     _require(target in ("patients", "images"), f"bad target {target!r}")
     _require(complete_text in ("true", "false"), f"bad complete flag {complete_text!r}")
-
-    columns: Optional[tuple] = None
-    rows = []
-    keys = []
-    missing = []
-    for child in root:
-        if child.tag == "row":
-            site = child.get("site")
-            row_id = child.get("id")
-            _require(site is not None and row_id is not None, "row lacks site/id")
-            names, values = [], []
-            for col in child:
-                _require(col.tag == "col", f"unexpected element {col.tag!r} in row")
-                name = col.get("name")
-                _require(name is not None, "col lacks a name")
-                names.append(name)
-                values.append(col.text or "")
-            if columns is None:
-                columns = tuple(names)
-            else:
-                _require(tuple(names) == columns, "rows disagree on column names")
-            keys.append(_checked_key(target, site, row_id))
-            rows.append(ResultRow(site, row_id, tuple(values)))
-        elif child.tag == "missing":
-            site = child.get("site")
-            reason = child.get("reason")
-            _require(site is not None and reason is not None, "missing lacks site/reason")
-            missing.append((site, reason))
-        else:
-            raise SchemaViolation(f"unexpected element {child.tag!r}")
+    pos = head.end()
+    columns: tuple = ()
+    rows, keys, missing = [], [], []
+    if not empty:
+        shape = _row_shape(text, pos)
+        if shape is not None:
+            columns, pattern = shape
+            escaped = "&" in text
+            while (match := pattern.match(text, pos)) is not None:
+                cells = tuple(map(_unesc, match.groups())) if escaped else match.groups()
+                keys.append(_checked_key(target, cells[0], cells[1]))
+                rows.append(ResultRow(cells[0], cells[1], cells[2:]))
+                pos = match.end()
+            _require(_row_shape(text, pos) is None, "rows disagree on column names")
+        while (match := _MISSING.match(text, pos)) is not None:
+            missing.append(tuple(map(_unesc, match.groups())))
+            pos = match.end()
+        _require(bool(rows or missing), "an open resultset holds no row or missing entry")
+        _require(text.startswith(_TAIL, pos), f"result XML departs from the grammar at {pos}")
+        pos += len(_TAIL)
+    _require(pos == len(text), f"result XML continues past its end at {pos}")
 
     _require(all(a < b for a, b in zip(keys, keys[1:])), "rows not strictly ordered")
     _require(missing == sorted(missing), "missing entries not ordered")
     complete = complete_text == "true"
     _require(complete == (not missing), "complete flag contradicts missing entries")
-    return ResultSet(target, columns or (), tuple(rows), complete, tuple(missing))
+    return ResultSet(target, columns, tuple(rows), complete, tuple(missing))
 
 
 # --- node-to-node parts -------------------------------------------------------------

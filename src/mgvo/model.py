@@ -71,9 +71,12 @@ def format_gfid(site_id: str, local_id: int) -> str:
 
 def parse_gfid(text: str) -> GlobalFileId:
     site, sep, local = text.partition(":")
-    if not sep or not SITE_ID_RE.match(site) or not local.isdigit():
-        raise BadGfid(f"bad global file id: {text!r}")
-    return GlobalFileId(site, int(local))
+    if sep and SITE_ID_RE.match(site) and local.isascii() and local.isdigit():
+        try:
+            return GlobalFileId(site, int(local))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise BadGfid(f"bad global file id: {text!r}")
 
 
 @dataclass

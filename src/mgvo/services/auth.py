@@ -20,7 +20,14 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..errors import AuthFailure, BadCredentials, BadSignature, Expired, UserUnknown
+from ..errors import (
+    AuthFailure,
+    BadCredentials,
+    BadSignature,
+    Expired,
+    IntegrityError,
+    UserUnknown,
+)
 
 ROLES = ("clinician", "admin")
 DEFAULT_TTL_S = 8 * 60 * 60
@@ -60,11 +67,14 @@ def load_users(path) -> dict:
     path = Path(path)
     if not path.exists():
         return users
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, salt, digest, roles = line.split(":", 3)
+        fields = line.split(":", 3)
+        if len(fields) != 4:
+            raise IntegrityError(f"{path} line {number}: not name:salt:hash:roles")
+        name, salt, digest, roles = fields
         users[name] = (salt, digest, tuple(r for r in roles.split(",") if r))
     return users
 

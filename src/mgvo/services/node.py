@@ -145,21 +145,26 @@ class Node:
         self.refresh_topology()
 
     def refresh_topology(self) -> bool:
-        """Pull the site directory and algorithm catalog; keep the cache on failure."""
+        """Pull the site directory and algorithm catalog.
+
+        Keeps the cache when the registry does not answer or any entry of its
+        answer is malformed.
+        """
         try:
             body = self._call(self.registry_address, "ListSites", {})
         except MgError:
             return False
+        try:
+            sites = [SiteDescriptor.from_dict(entry) for entry in body.get("sites", [])]
+            algorithms = {entry["algo_id"]: AlgorithmDescriptor.from_dict(entry)
+                          for entry in body.get("algorithms", [])}
+        except (KeyError, TypeError, MgError):
+            return False
         with self._topo_lock:
             topology = {self.site_id: self._own_descriptor()}
-            for entry in body.get("sites", []):
-                desc = SiteDescriptor.from_dict(entry)
-                topology[desc.site_id] = desc
+            topology.update((desc.site_id, desc) for desc in sites)
             self.topology = topology
-            self.algorithms = {
-                entry["algo_id"]: AlgorithmDescriptor.from_dict(entry)
-                for entry in body.get("algorithms", [])
-            }
+            self.algorithms = algorithms
         return True
 
     def _topology_snapshot(self) -> list:

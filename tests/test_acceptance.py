@@ -143,9 +143,10 @@ def ctx(tmp_path_factory):
     job = vo.job_status("site_a", job_id)
     window_end = vo.net.next_seq()
 
-    return {"tmp": tmp, "vo": vo, "manifest": manifest, "suite": suite,
-            "dumps_pre": dumps_pre, "xml": xml, "job": job,
-            "window": (window_start, window_end)}
+    yield {"tmp": tmp, "vo": vo, "manifest": manifest, "suite": suite,
+           "dumps_pre": dumps_pre, "xml": xml, "job": job,
+           "window": (window_start, window_end)}
+    vo.close()
 
 
 # --- 1: federation vs oracle ----------------------------------------------------------
@@ -159,12 +160,15 @@ def test_01_federation_matches_oracle(ctx, tmp_path, capsys):
             site_ids = [s.site_id for s in topology.sites]
             split = corpus_split(manifest, files, site_ids)
             vo = SimVO(topology, tmp_path / f"vo_{seed}_{len(site_ids)}")
-            vo.login("alice", "alice-pw")
-            _ingest(vo, split)
-            dumps = _dumps(vo)
-            suite = ctx["suite"] + _by_id_queries(dumps)
-            for text in suite:
-                ok = ok and _matches_oracle(vo, site_ids[0], text, dumps)
+            try:
+                vo.login("alice", "alice-pw")
+                _ingest(vo, split)
+                dumps = _dumps(vo)
+                suite = ctx["suite"] + _by_id_queries(dumps)
+                for text in suite:
+                    ok = ok and _matches_oracle(vo, site_ids[0], text, dumps)
+            finally:
+                vo.close()
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
     _verdict(capsys, 1, "federated answers equal the oracle", ok,
@@ -434,6 +438,7 @@ def test_08_job_state_machine(tmp_path, capsys):
     ok = ok and job["state"] == alg.JOB_PARTIAL
     ok = ok and by_site["site_a"]["state"] == alg.TASK_DONE
     ok = ok and by_site["site_b"]["state"] == alg.TASK_FAILED
+    vo.close()
     _verdict(capsys, 8, "job machine: exhaustive + live + injected failure", ok)
 
 
@@ -485,6 +490,7 @@ def test_10_local_scan_under_a_second(tmp_path, capsys):
     started = time.monotonic()
     rs = federation.execute_local(store, "site_a", query)
     elapsed = time.monotonic() - started
+    store.close()
     ok = elapsed < 1.0 and len(rs.rows) == expected
     _verdict(capsys, 10, "10,000-image local scan under a second", ok,
              f"{len(rs.rows)} rows in {elapsed * 1000:.0f} ms")

@@ -484,11 +484,11 @@ def _store_with_images(tmp_path, arrays):
     return store
 
 
-def test_run_task_writes_derived_records(tmp_path):
+def test_run_task_writes_derived_records(tmp_path, closing):
     dark = np.full((4, 4), 10, dtype=np.uint8)
     bright = np.full((4, 4), 10, dtype=np.uint8)
     bright[:2] = 200
-    store = _store_with_images(tmp_path, [dark, bright])
+    store = closing(_store_with_images(tmp_path, [dark, bright]))
     algo = alg.AlgorithmDescriptor("density-v1", "density", {"threshold": 100})
     outcome = alg.run_task(store, "site_a", algo, selector(), job_id="JOB9")
     assert outcome == {"state": alg.TASK_DONE, "images_selected": 2,
@@ -498,17 +498,17 @@ def test_run_task_writes_derived_records(tmp_path):
     assert store.latest_derived(2, "smf").job_id == "JOB9"
 
 
-def test_run_task_empty_selection_is_done(tmp_path):
-    store = _store_with_images(tmp_path, [np.zeros((4, 4), np.uint8)])
+def test_run_task_empty_selection_is_done(tmp_path, closing):
+    store = closing(_store_with_images(tmp_path, [np.zeros((4, 4), np.uint8)]))
     outcome = alg.run_task(store, "site_a", DENSITY,
                            selector("SELECT images WHERE patient.sex = 'M'"))
     assert outcome == {"state": alg.TASK_DONE, "images_selected": 0,
                        "derived_written": 0, "error": None}
 
 
-def test_run_task_stops_at_first_bad_image(tmp_path):
+def test_run_task_stops_at_first_bad_image(tmp_path, closing):
     arrays = [np.full((4, 4), n * 40, dtype=np.uint8) for n in range(3)]
-    store = _store_with_images(tmp_path, arrays)
+    store = closing(_store_with_images(tmp_path, arrays))
     victim = store.image(2).blob
     path = tmp_path / "blobs" / victim.sha256[:2] / victim.sha256
     raw = bytearray(path.read_bytes())
@@ -526,10 +526,10 @@ def test_run_task_stops_at_first_bad_image(tmp_path):
     assert store.latest_derived(3, "smf") is None  # never reached
 
 
-def test_rerun_supersedes_previous_results(tmp_path):
+def test_rerun_supersedes_previous_results(tmp_path, closing):
     img = np.full((4, 4), 10, dtype=np.uint8)
     img[0, 0] = 250
-    store = _store_with_images(tmp_path, [img])
+    store = closing(_store_with_images(tmp_path, [img]))
     v1 = alg.AlgorithmDescriptor("density-v1", "density", {"threshold": 0})
     v2 = alg.AlgorithmDescriptor("density-v2", "density", {"threshold": 240})
     alg.run_task(store, "site_a", v1, selector(), job_id="J1")
@@ -654,12 +654,12 @@ def _vo_one_image_per_site(tmp_path, topology_text):
     return vo
 
 
-def test_job_task_at_a_slow_site_fails_like_its_subquery(tmp_path):
-    vo = _vo_one_image_per_site(tmp_path, """
+def test_job_task_at_a_slow_site_fails_like_its_subquery(tmp_path, closing):
+    vo = closing(_vo_one_image_per_site(tmp_path, """
 registry = registry.sim:7000
 site = site_a a.sim:7001
 site = site_b b.sim:7002 latency=3000
-""")
+"""))
     rs = vo.query("site_a", "SELECT images WHERE patient.age > 0")
     assert rs.missing == (("site_b", "timeout"),)
 
@@ -676,13 +676,13 @@ site = site_b b.sim:7002 latency=3000
     assert vo.nodes["site_b"].store.latest_derived(1, "smf").job_id == job_id
 
 
-def test_peers_send_no_request_while_running_a_task(tmp_path):
-    vo = _vo_one_image_per_site(tmp_path, """
+def test_peers_send_no_request_while_running_a_task(tmp_path, closing):
+    vo = closing(_vo_one_image_per_site(tmp_path, """
 registry = registry.sim:7000
 site = site_a a.sim:7001
 site = site_b b.sim:7002
 site = site_c c.sim:7003
-""")
+"""))
     start = len(vo.frames())
     job_id = vo.algo_exec("site_a", "density-v1", "SELECT images WHERE patient.age > 0")
     vo.drain("site_a")

@@ -81,8 +81,8 @@ def test_analyze_skips_private_sites_but_not_self():
     assert dec.local is not None  # a private site still queries itself
 
 
-def _seeded_store(tmp_path):
-    store = SiteStore(tmp_path)
+def _seeded_store(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     pids = ["{:016x}".format(0xA0 + n) for n in range(3)]
     store.upsert_patient(PatientRecord(pids[0], "F", 1960, height_m=1.62))
     store.upsert_patient(PatientRecord(pids[1], "M", 1950))
@@ -98,8 +98,8 @@ def _seeded_store(tmp_path):
     return store, pids
 
 
-def test_execute_local_images(tmp_path):
-    store, pids = _seeded_store(tmp_path)
+def test_execute_local_images(tmp_path, closing):
+    store, pids = _seeded_store(tmp_path, closing)
     rs = federation.execute_local(
         store, "site_a", mgql.parse_query("SELECT images WHERE patient.sex = 'F'"))
     assert rs.target == "images"
@@ -109,8 +109,8 @@ def test_execute_local_images(tmp_path):
     assert rs.rows[0].values == (pids[0], "F", "44", "L", "CC", "MG", "20040102")
 
 
-def test_execute_local_patients_projects_distinct(tmp_path):
-    store, pids = _seeded_store(tmp_path)
+def test_execute_local_patients_projects_distinct(tmp_path, closing):
+    store, pids = _seeded_store(tmp_path, closing)
     rs = federation.execute_local(
         store, "site_a", mgql.parse_query("SELECT patients WHERE patient.sex = 'F'"))
     assert rs.columns == federation.PATIENT_COLUMNS
@@ -120,8 +120,8 @@ def test_execute_local_patients_projects_distinct(tmp_path):
     assert by_id[pids[2]] == (pids[2], "F", "", "61.5")
 
 
-def test_execute_local_sees_own_site_id(tmp_path):
-    store, _ = _seeded_store(tmp_path)
+def test_execute_local_sees_own_site_id(tmp_path, closing):
+    store, _ = _seeded_store(tmp_path, closing)
     hit = federation.execute_local(
         store, "site_a", mgql.parse_query("SELECT images WHERE site.id = 'site_a'"))
     miss = federation.execute_local(
@@ -295,6 +295,85 @@ def test_from_xml_rejects_disorder():
         federation.from_xml(missing_order)
 
 
+def test_from_xml_checks_order_and_grammar_on_canonical_bytes():
+    row = ResultRow("site_a", "site_a:1", ())
+    disordered = [
+        ResultSet("images", (), (ResultRow("site_a", "site_a:2", ()), row), True, ()),
+        ResultSet("images", (), (row, row), True, ()),
+        ResultSet("images", (), (ResultRow("site_b", "site_a:1", ()),), True, ()),
+        ResultSet("images", (), (ResultRow("site_a", "site_a:x", ()),), True, ()),
+        ResultSet("images", (), (ResultRow("site_a", "site_a:\u00b2", ()),), True, ()),
+        ResultSet("images", (), (), False, (("site_c", "x"), ("site_b", "x"))),
+        ResultSet("images", (), (row,), False, ()),
+        ResultSet("images", (), (), True, (("site_b", "x"),)),
+        ResultSet("images", (), (), False, ()),
+    ]
+    for rs in disordered:
+        with pytest.raises(SchemaViolation):
+            federation.from_xml(federation.to_xml(rs))
+    p1 = federation.to_xml(ResultSet("patients", ("a",), (ResultRow("s", "p1", ("x",)),),
+                                     True, ()))
+    p2 = federation.to_xml(ResultSet("patients", ("b",), (ResultRow("s", "p2", ("y",)),),
+                                     True, ()))
+    p3 = federation.to_xml(ResultSet("patients", (), (ResultRow("s", "p3", ()),), True, ()))
+    for other in (p2, p3):
+        rows = other.split(b"\n", 1)[1]
+        spliced = p1.rsplit(b"\n", 1)[0] + b"\n" + rows
+        with pytest.raises(SchemaViolation, match="disagree"):
+            federation.from_xml(spliced)
+    departures = [
+        b'<resultset target="images" complete="true">\n</resultset>',  # empty, open form
+        b'<resultset target="images" complete="true"/>>',
+        p1 + b">",
+        p1.replace(b">x<", b">&#120;<"),
+        p1.replace(b">x<", b">&#x78;<"),
+        p1.replace(b">x<", b">&nbsp;<"),
+    ]
+    for doc in departures:
+        with pytest.raises(SchemaViolation):
+            federation.from_xml(doc)
+
+
+def test_from_xml_is_the_identity_on_awkward_text():
+    awkward = "\n\r\t<>&\"' \r\n&amp;&lt;&#10;"
+    rs = ResultSet(
+        "patients", ("patient.id", "col" + awkward),
+        (ResultRow("site" + awkward, "p" + awkward, (awkward, "x\r\ny")),
+         ResultRow("site" + awkward, "q" + awkward, ("", awkward * 2))),
+        False, (("a\nb", "a\nb"), ("z" + awkward, "reason" + awkward)))
+    xml = federation.to_xml(rs)
+    assert federation.from_xml(xml) == rs
+    assert federation.from_xml(xml.decode("utf-8")) == rs
+
+
+def test_from_xml_accepts_only_what_re_encodes_to_the_same_bytes():
+    """Single-byte edits, insertions and deletions of canonical XML.
+
+    Each mutant is rejected with MalformedXml or SchemaViolation, or decodes
+    to a set that ``to_xml`` writes back as exactly the mutant's bytes.
+    """
+    rng = random.Random(19)
+    structural = b'<>&"\'/=;:# \n\r\tacdeilmnopqrstuw_0129' + bytes([0xC3, 0xA9])
+    decoded = 0
+    for _ in range(2500):
+        data = bytearray(federation.to_xml(rand_resultset(rng)))
+        byte = rng.choice(structural) if rng.random() < 0.8 else rng.randrange(256)
+        kind, at = rng.randrange(3), rng.randrange(len(data))
+        if kind == 0:
+            data[at] = byte
+        elif kind == 1:
+            data.insert(at + rng.randrange(2), byte)
+        else:
+            del data[at]
+        try:
+            rs = federation.from_xml(bytes(data))
+        except (MalformedXml, SchemaViolation):
+            continue
+        assert federation.to_xml(rs) == bytes(data)
+        decoded += 1
+    assert decoded > 100
+
+
 def _part_of(site, target, n):
     """A complete single-site part with n rows, as execute_local makes it."""
     if target == "images":
@@ -320,8 +399,8 @@ def test_part_round_trip(target, n):
     assert federation.from_part(federation.to_part(empty), "site_b", target) == empty
 
 
-def test_part_from_execute_local_round_trips(tmp_path):
-    store, _ = _seeded_store(tmp_path)
+def test_part_from_execute_local_round_trips(tmp_path, closing):
+    store, _ = _seeded_store(tmp_path, closing)
     for text in ("SELECT images WHERE patient.age > 0",
                  "SELECT patients WHERE patient.age > 0",
                  "SELECT images WHERE patient.age > 100"):

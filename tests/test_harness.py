@@ -329,8 +329,8 @@ def test_transcript_entries_are_json_lines(tmp_path):
     assert {e["kind"] for e in parsed} == {"frame", "event"}
 
 
-def test_sim_net_counters_match_frames(tmp_path):
-    vo = SimVO(TOPOLOGY, tmp_path / "vo")
+def test_sim_net_counters_match_frames(tmp_path, closing):
+    vo = closing(SimVO(TOPOLOGY, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     vo.query("site_a", "SELECT images WHERE patient.age > 0")
     sent = {}
@@ -345,7 +345,7 @@ def test_sim_net_counters_match_frames(tmp_path):
         assert have.get(endpoint, 0) == count
 
 
-def test_sim_query_decodes_the_answer_once(tmp_path, monkeypatch):
+def test_sim_query_decodes_the_answer_once(tmp_path, monkeypatch, closing):
     decoded = []
     real = federation.from_xml
 
@@ -354,7 +354,7 @@ def test_sim_query_decodes_the_answer_once(tmp_path, monkeypatch):
         return real(xml)
 
     manifest, files = corpus.gen_corpus(6, 4, 1, rows=32, cols=32)
-    vo = SimVO(TOPOLOGY, tmp_path / "vo")
+    vo = closing(SimVO(TOPOLOGY, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     for site, items in corpus_split(manifest, files, ["site_a", "site_b"]).items():
         for _filename, data in items:
@@ -368,13 +368,13 @@ def test_sim_query_decodes_the_answer_once(tmp_path, monkeypatch):
     assert decoded == [answer, answer]
 
 
-def test_sim_latency_advances_virtual_time(tmp_path):
+def test_sim_latency_advances_virtual_time(tmp_path, closing):
     topo = cfg.parse_topology("""
 registry = r.sim:7000
 site = site_a a.sim:7001
 site = site_b b.sim:7002 latency=100
 """)
-    vo = SimVO(topo, tmp_path / "vo")
+    vo = closing(SimVO(topo, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     t0 = vo.clock.now_ms()
     vo.query("site_a", "SELECT images WHERE patient.age > 0")
@@ -383,13 +383,13 @@ site = site_b b.sim:7002 latency=100
     assert vo.clock.now_ms() - t0 == 200
 
 
-def test_sim_slow_site_times_out(tmp_path):
+def test_sim_slow_site_times_out(tmp_path, closing):
     topo = cfg.parse_topology("""
 registry = r.sim:7000
 site = site_a a.sim:7001
 site = site_b b.sim:7002 latency=3000
 """)
-    vo = SimVO(topo, tmp_path / "vo")
+    vo = closing(SimVO(topo, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     # 3000 ms each way blows the node's 5000 ms subquery deadline
     rs = vo.query("site_a", "SELECT images WHERE patient.age > 0")
@@ -397,13 +397,13 @@ site = site_b b.sim:7002 latency=3000
     assert not rs.complete
 
 
-def test_sim_dropped_site_starts_invisible(tmp_path):
+def test_sim_dropped_site_starts_invisible(tmp_path, closing):
     topo = cfg.parse_topology("""
 registry = r.sim:7000
 site = site_a a.sim:7001
 site = site_b b.sim:7002 drop=true
 """)
-    vo = SimVO(topo, tmp_path / "vo")
+    vo = closing(SimVO(topo, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     # a dropped site never registered, so nobody consults it and the
     # answer is complete without it
@@ -510,10 +510,10 @@ def test_oracle_on_handcrafted_rows():
     assert [row_id for _, row_id, _ in rows] == ["site_b:1"]
 
 
-def test_oracle_agrees_with_a_live_vo(tmp_path):
+def test_oracle_agrees_with_a_live_vo(tmp_path, closing):
     manifest, files = corpus.gen_corpus(6, 6, 2, rows=32, cols=32)
     split = corpus_split(manifest, files, ["site_a", "site_b"])
-    vo = SimVO(TOPOLOGY, tmp_path / "vo")
+    vo = closing(SimVO(TOPOLOGY, tmp_path / "vo"))
     vo.login("alice", "alice-pw")
     for site, items in split.items():
         for filename, data in items:
@@ -563,6 +563,7 @@ def cluster(tmp_path):
     finally:
         node_server.stop()
         reg_server.stop()
+        node.store.close()
 
 
 def run_cli(args, **kw):

@@ -82,7 +82,8 @@ def test_gfid_round_trip():
 
 def test_gfid_rejects_malformed():
     for bad in ("", "site_a", ":1", "site_a:", "site_a:x", "Site:1",
-                "site a:1", "site_a:1:2", "x" * 33 + ":1"):
+                "site a:1", "site_a:1:2", "x" * 33 + ":1", "site_a:\u00b2",
+                "site_a:" + "1" * 5000):
         with pytest.raises(BadGfid):
             model.parse_gfid(bad)
 

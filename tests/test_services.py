@@ -21,6 +21,7 @@ from mgvo.errors import (
     DuplicateAddress,
     Expired,
     FrameTooLarge,
+    IntegrityError,
     PortClash,
     RemoteError,
     Timeout,
@@ -125,6 +126,16 @@ def test_users_file(tmp_path):
         auth.check_password(users, "alice", "pw-one")
 
 
+def test_users_file_rejects_malformed_lines(tmp_path):
+    path = tmp_path / "users.txt"
+    auth.add_user(path, "alice", "pw-one", ("clinician",))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("# a comment\n\nbob:onlyone\n")
+    with pytest.raises(IntegrityError) as err:
+        auth.load_users(path)
+    assert str(path) in str(err.value) and "line 4" in str(err.value)
+
+
 # --- framing ------------------------------------------------------------------
 
 def test_payload_canonical_json():
@@ -213,6 +224,14 @@ def test_registry_authenticate(tmp_path):
                      {"user": "alice", "password": "nope"}) == "BadCredentials"
     assert ask_error(reg, "Authenticate", None,
                      {"user": "x", "password": "y"}) == "UserUnknown"
+
+
+def test_registry_names_a_malformed_users_file(tmp_path):
+    reg = make_registry(tmp_path)
+    with reg.users_path.open("a", encoding="utf-8") as fh:
+        fh.write("bob:onlyone\n")
+    assert ask_error(reg, "Authenticate", None,
+                     {"user": "alice", "password": "alice-pw"}) == "IntegrityError"
 
 
 def test_registry_requires_session(tmp_path):
@@ -572,6 +591,29 @@ def test_queries_survive_registry_outage(vo):
     rs = vo.query("site_a", "SELECT images WHERE patient.age > 0")
     assert rs.complete and len(rs.rows) == 2  # cached topology carries the VO
     vo.registry_up()
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("sites", {"site_id": "site_z"}),
+    ("sites", "site_z"),
+    ("algorithms", {"kind": "density", "params": {}}),
+    ("algorithms", {"algo_id": "x", "params": []}),
+])
+def test_malformed_registry_entry_keeps_the_cached_topology(vo, monkeypatch, field, entry):
+    node = vo.nodes["site_a"]
+    before = (dict(node.topology), dict(node.algorithms))
+    list_sites = vo.registry._op_list_sites
+
+    def with_bad_entry():
+        body = list_sites()
+        body[field].append(entry)
+        return body
+
+    monkeypatch.setattr(vo.registry, "_op_list_sites", with_bad_entry)
+    assert node.refresh_topology() is False
+    assert (node.topology, node.algorithms) == before
+    monkeypatch.undo()
+    assert node.refresh_topology() is True
 
 
 def test_site_down_yields_partial_results(vo):

@@ -33,8 +33,8 @@ def make_image(store, pid=PID, data=b"image-bytes-0001", **kw):
     return ImageRecord(**fields)
 
 
-def test_blob_round_trip_and_idempotence(tmp_path):
-    store = SiteStore(tmp_path)
+def test_blob_round_trip_and_idempotence(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     data = b"some file bytes" * 100
     ref = store.put_blob(data)
     assert ref.sha256 == hashlib.sha256(data).hexdigest()
@@ -45,8 +45,8 @@ def test_blob_round_trip_and_idempotence(tmp_path):
     assert store.site_stats().blob_storage_size_bytes == len(data)
 
 
-def test_put_blob_takes_the_callers_digest(tmp_path):
-    store = SiteStore(tmp_path)
+def test_put_blob_takes_the_callers_digest(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     data = b"anonymized file" * 100
     sha = hashlib.sha256(data).hexdigest()
     ref = store.put_blob(data, sha)
@@ -57,8 +57,8 @@ def test_put_blob_takes_the_callers_digest(tmp_path):
     assert store.get_blob(ref) == data
 
 
-def test_blob_corruption_detected(tmp_path):
-    store = SiteStore(tmp_path)
+def test_blob_corruption_detected(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     ref = store.put_blob(b"precious pixels")
     path = tmp_path / "blobs" / ref.sha256[:2] / ref.sha256
     raw = bytearray(path.read_bytes())
@@ -68,14 +68,14 @@ def test_blob_corruption_detected(tmp_path):
         store.get_blob(ref)
 
 
-def test_blob_missing_is_not_found(tmp_path):
-    store = SiteStore(tmp_path)
+def test_blob_missing_is_not_found(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     with pytest.raises(NotFound):
         store.get_blob("ab" * 32)
 
 
-def test_insert_assigns_sequential_ids(tmp_path):
-    store = SiteStore(tmp_path)
+def test_insert_assigns_sequential_ids(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
     ids = [store.insert_image(make_image(store, data=f"img{i}".encode()))
            for i in range(3)]
@@ -85,8 +85,8 @@ def test_insert_assigns_sequential_ids(tmp_path):
         store.image(99)
 
 
-def test_insert_image_requires_patient(tmp_path):
-    store = SiteStore(tmp_path)
+def test_insert_image_requires_patient(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     with pytest.raises(UnknownPatient):
         store.insert_image(make_image(store, pid=PID2))
     with pytest.raises(UnknownPatient):
@@ -137,8 +137,8 @@ def test_concurrent_adds_of_one_file_store_it_once(tmp_path):
     store.close()
 
 
-def test_find_image_by_blob(tmp_path):
-    store = SiteStore(tmp_path)
+def test_find_image_by_blob(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
     local = store.insert_image(make_image(store, data=b"dup-check"))
     sha = hashlib.sha256(b"dup-check").hexdigest()
@@ -146,8 +146,8 @@ def test_find_image_by_blob(tmp_path):
     assert store.find_image_by_blob("00" * 32) is None
 
 
-def test_latest_derived_wins_and_history_kept(tmp_path):
-    store = SiteStore(tmp_path)
+def test_latest_derived_wins_and_history_kept(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
     img = store.insert_image(make_image(store))
     first = DerivedRecord(0, img, "smf", {"density_pct": 10.0}, "density-v1", "job1")
@@ -162,9 +162,9 @@ def test_latest_derived_wins_and_history_kept(tmp_path):
         store.insert_derived(DerivedRecord(0, 99, "smf", {"density_pct": 1.0}))
 
 
-def test_scan_matches_brute_force(tmp_path):
+def test_scan_matches_brute_force(tmp_path, closing):
     rng = random.Random(17)
-    store = SiteStore(tmp_path)
+    store = closing(SiteStore(tmp_path))
     records = []  # (pid, sex, age, laterality) kept independently of the store
     for p in range(10):
         pid = f"{rng.getrandbits(64):016x}"
@@ -193,8 +193,8 @@ def test_scan_matches_brute_force(tmp_path):
     assert len(store.scan(None)) == len(records)
 
 
-def test_joined_row_carries_latest_derived(tmp_path):
-    store = SiteStore(tmp_path)
+def test_joined_row_carries_latest_derived(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
     img = store.insert_image(make_image(store))
     assert "derived.kind" not in store.dump_rows()[0]
@@ -359,8 +359,8 @@ def test_reopen_after_a_crash_at_every_byte(tmp_path):
         last.close()
 
 
-def test_site_stats_counts(tmp_path):
-    store = SiteStore(tmp_path)
+def test_site_stats_counts(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
     store.upsert_patient(make_patient(pid=PID2, sex="M"))
     img = store.insert_image(make_image(store))
@@ -374,11 +374,11 @@ def test_site_stats_counts(tmp_path):
     assert stats.blob_storage_size_bytes == len(b"image-bytes-0001") + len(b"other")
 
 
-def test_upsert_patient_replaces(tmp_path):
+def test_upsert_patient_replaces(tmp_path, closing):
     store = SiteStore(tmp_path)
     store.upsert_patient(make_patient(height_m=None))
     store.upsert_patient(make_patient(height_m=1.7))
     assert store.patient(PID).height_m == 1.7
     store.close()
-    again = SiteStore(tmp_path)
+    again = closing(SiteStore(tmp_path))
     assert again.patient(PID).height_m == 1.7
