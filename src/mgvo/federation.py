@@ -45,9 +45,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from . import mgql
-from .errors import MalformedXml, MgError, SchemaViolation, UnknownSite
-from .model import format_gfid, parse_gfid
+from .errors import MalformedXml, SchemaViolation, UnknownSite
+from .model import SITE_ID_RE, format_gfid
 from .mgql import And, Expr, Not, Or, Pred, Query
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,15 +171,14 @@ def select(store: "SiteStore", site_id: str, query: Query) -> list:
     """The rows of this site's store that ``query`` selects.
 
     ``site.id`` is folded to a constant for this site first, so a part that
-    cannot match scans nothing, one that matches everything scans without a
-    predicate, and the rest are evaluated on each row as stored.
+    cannot match reads nothing and one that matches everything selects every
+    image. The rest go to ``SiteStore.select``, which evaluates the residual
+    as one mask over the store's columns and builds rows only for matches.
     """
     expr = _residual(query.expr, site_id)
     if expr is False:
         return []
-    if expr is True:
-        return store.scan(None, query.target)
-    return store.scan(lambda row: mgql.evaluate(expr, row), query.target)
+    return store.select(None if expr is True else expr, query.target)
 
 
 def execute_local(store: "SiteStore", site_id: str, query: Query) -> ResultSet:
@@ -243,16 +241,26 @@ def _require(condition: bool, what: str) -> None:
         raise SchemaViolation(what)
 
 
-def _checked_key(target: str, site: str, row_id: str) -> tuple:
-    """The sort key of a decoded row; an image row id must be a gfid of ``site``."""
+def _checked_key(target: str, site: str, row_id: str, prefixes: dict) -> tuple:
+    """The sort key of a decoded row; an image row id must be a gfid of ``site``.
+
+    ``prefixes`` maps each site this decode has already checked to its
+    ``"<site>:"``, so a site string is checked once and each row id only
+    for that prefix and ASCII digits.
+    """
     if target != "images":
         return (site, row_id)
+    prefix = prefixes.get(site)
+    if prefix is None:
+        _require(SITE_ID_RE.match(site) is not None, f"bad site {site!r} for row id {row_id!r}")
+        prefix = prefixes[site] = site + ":"
+    local = row_id[len(prefix):]
+    _require(row_id.startswith(prefix) and local.isascii() and local.isdigit(),
+             f"row id {row_id!r} is not a gfid of site {site!r}")
     try:
-        gfid = parse_gfid(row_id)
-    except MgError as exc:
-        raise SchemaViolation(f"bad row id {row_id!r}: {exc}") from exc
-    _require(gfid.site_id == site, f"row id {row_id!r} contradicts site {site!r}")
-    return (site, gfid.local_id)
+        return (site, int(local))
+    except ValueError:  # more digits than int() converts
+        raise SchemaViolation(f"row id {row_id!r} has too many digits") from None
 
 
 # The grammar of what ``to_xml`` writes. A value is a run of any character
@@ -332,9 +340,10 @@ def from_xml(data) -> ResultSet:
         if shape is not None:
             columns, pattern = shape
             escaped = "&" in text
+            prefixes: dict = {}
             while (match := pattern.match(text, pos)) is not None:
                 cells = tuple(map(_unesc, match.groups())) if escaped else match.groups()
-                keys.append(_checked_key(target, cells[0], cells[1]))
+                keys.append(_checked_key(target, cells[0], cells[1], prefixes))
                 rows.append(ResultRow(cells[0], cells[1], cells[2:]))
                 pos = match.end()
             _require(_row_shape(text, pos) is None, "rows disagree on column names")
@@ -379,12 +388,12 @@ def from_part(body, site_id: str, target: str) -> ResultSet:
              f"part columns {columns!r} are not the {target} columns")
 
     width = len(canonical) + 1
-    out, keys = [], []
+    out, keys, prefixes = [], [], {}
     for row in rows:
         _require(isinstance(row, list) and len(row) == width
                  and all(isinstance(cell, str) for cell in row),
                  f"part row is not {width} strings")
-        keys.append(_checked_key(target, site_id, row[0]))
+        keys.append(_checked_key(target, site_id, row[0], prefixes))
         out.append(ResultRow(site_id, row[0], tuple(row[1:])))
     _require(all(a < b for a, b in zip(keys, keys[1:])), "rows not strictly ordered")
     return ResultSet(target, tuple(columns), tuple(out), True, ())

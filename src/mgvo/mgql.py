@@ -1,4 +1,4 @@
-"""Grid query language: parse, canonical print, evaluate.
+"""Grid query language: parse and canonical print.
 
 Grammar (keywords case-insensitive, whitespace-insensitive)::
 
@@ -10,11 +10,12 @@ Grammar (keywords case-insensitive, whitespace-insensitive)::
     pred    := field op literal | field "IN" "[" number "," number "]"
     op      := "=" | "!=" | "<" | "<=" | ">" | ">="
 
-The field catalog is closed. Rows are plain mappings from field path to
-value; a predicate over an absent derived (or optional patient) field is
-false — the collapse happens at the predicate, and NOT negates the result
-normally afterwards. ``derived.kind`` holds the set of kinds present on the
-row: ``=`` tests membership, ``!=`` tests that some present kind differs.
+The field catalog is closed. A predicate over an absent derived (or
+optional patient) field is false — the collapse happens at the predicate,
+and NOT negates the result normally afterwards. ``derived.kind`` is the set
+of kinds present on an image: ``=`` tests membership, ``!=`` tests that some
+present kind differs. ``SiteStore.select`` evaluates expressions with these
+semantics; ``harness.oracle.ref_eval`` is the row-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -339,42 +340,3 @@ def print_query(q: Query) -> str:
     """Canonical text: uppercase keywords, single spaces, minimal parentheses."""
     head = f"EXEC {q.exec_algo}" if q.exec_algo else f"SELECT {q.target}"
     return f"{head} WHERE {_print_expr(q.expr)}"
-
-
-# --- evaluation --------------------------------------------------------------------
-
-def evaluate(node: Expr, row: dict) -> bool:
-    """Two-valued evaluation of an expression over one joined row."""
-    if isinstance(node, And):
-        return evaluate(node.left, row) and evaluate(node.right, row)
-    if isinstance(node, Or):
-        return evaluate(node.left, row) or evaluate(node.right, row)
-    if isinstance(node, Not):
-        return not evaluate(node.expr, row)
-    return _eval_pred(node, row)
-
-
-def _eval_pred(pred: Pred, row: dict) -> bool:
-    value = row.get(pred.field)
-    if value is None:
-        return False
-    if pred.field == "derived.kind":
-        if pred.op == "=":
-            return pred.value in value
-        if pred.op == "!=":
-            return any(kind != pred.value for kind in value)
-        return False
-    if pred.op == "in":
-        lo, hi = pred.value
-        return lo <= value <= hi
-    if pred.op == "=":
-        return value == pred.value
-    if pred.op == "!=":
-        return value != pred.value
-    if pred.op == "<":
-        return value < pred.value
-    if pred.op == "<=":
-        return value <= pred.value
-    if pred.op == ">":
-        return value > pred.value
-    return value >= pred.value

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only, no runtime cycle
     from .store import BlobRef
 
 PSEUDONYM_RE = re.compile(r"^[0-9a-f]{16}$")
-SITE_ID_RE = re.compile(r"^[a-z0-9_]{1,32}$")
+SITE_ID_RE = re.compile(r"^[a-z0-9_]{1,32}\Z")
 
 SEXES = ("F", "M", "O")
 LATERALITIES = ("L", "R")
@@ -79,7 +79,7 @@ def parse_gfid(text: str) -> GlobalFileId:
     raise BadGfid(f"bad global file id: {text!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PatientRecord:
     pid: str
     sex: str
@@ -101,7 +101,7 @@ class PatientRecord:
             raise InvariantViolation(f"weight_kg out of range: {self.weight_kg}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ImageRecord:
     local_id: int
     pid: str
@@ -128,7 +128,7 @@ class ImageRecord:
             raise InvariantViolation("image dimensions must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivedRecord:
     local_id: int
     image_local_id: int

@@ -16,6 +16,7 @@ sees one call at a time.
 
 from __future__ import annotations
 
+import collections
 import datetime
 import hashlib
 import random
@@ -69,6 +70,11 @@ from ..store import BlobRef, SiteStore
 
 _REQUIRED_CONFIG = ("site_id", "listen", "registry", "data_dir", "site_secret", "vo_secret")
 
+#: How many finished jobs a node keeps for ``JobStatus``, the most recently
+#: finished first; unfinished jobs are always kept. Older finished jobs answer
+#: ``NotFound``, and their records stay in the site's log.
+RETAINED_FINISHED_JOBS = 1024
+
 #: The value of each optional config key that a config leaves out.
 CONFIG_DEFAULTS = {
     "query_timeout_ms": 5000,
@@ -111,8 +117,15 @@ class Node:
         self._jobs_lock = threading.RLock()
         self.topology: dict = {self.site_id: self._own_descriptor()}
         self.algorithms: dict = {}
-        self.jobs = {job_id: JobRecord.from_dict(data)
-                     for job_id, data in sorted(self.store.jobs().items())}
+        self.jobs: dict = {}
+        self._finished: collections.deque = collections.deque()  # job ids, oldest first
+        # Unfinished first, then by finish time; the log lists jobs oldest
+        # first, and the sort is stable, so of jobs that finished in the same
+        # millisecond the older counts as finished first.
+        jobs = [JobRecord.from_dict(data) for data in self.store.jobs().values()]
+        for job in sorted(jobs, key=lambda j: (j.finished_at_ms is not None,
+                                               j.finished_at_ms or 0)):
+            self._keep(job)
         self._token: Optional[str] = None
         self._token_expires_s = 0
 
@@ -349,6 +362,18 @@ class Node:
                 raise NotFound(f"no job {job_id!r} at {self.site_id}")
             return {"job": job.to_dict()}
 
+    def _keep(self, job: JobRecord) -> None:
+        """Hold a new or just-finished job, dropping the oldest finished past the cap.
+
+        Called under ``_jobs_lock``, once when a job is scheduled and once
+        when it finishes.
+        """
+        self.jobs[job.job_id] = job
+        if job.finished_at_ms is not None:
+            self._finished.append(job.job_id)
+            while len(self._finished) > RETAINED_FINISHED_JOBS:
+                del self.jobs[self._finished.popleft()]
+
     def _schedule_job(self, algo_id: str, selector: mgql.Query) -> JobRecord:
         algo = self.algorithms.get(algo_id)
         if algo is None:
@@ -360,8 +385,8 @@ class Node:
                            new_job_id(self.clock.now_ms(), self.rng),
                            self.clock.now_ms())
         with self._jobs_lock:
-            self.jobs[job.job_id] = job
             self.store.upsert_job(job.to_dict())
+            self._keep(job)
         return job
 
     def drain_job(self, job_id: str) -> None:
@@ -411,6 +436,8 @@ class Node:
                         result["derived_written"], result.get("error"),
                         self.clock.now_ms())
             self.store.upsert_job(job.to_dict())
+            if job.finished_at_ms is not None:
+                self._keep(job)
 
     def _op_run_task(self, claims: dict, body: dict) -> dict:
         # The reply is the outcome; the node calls no one while serving it.

@@ -7,20 +7,31 @@ index is rebuilt by replaying the log at startup. A torn tail (crash
 mid-append) is cut off; a whole record that does not decode raises
 ``IntegrityError``. Memory holds only the latest derived record per image and
 kind; older versions stay in the log. One writer, many readers: a single lock
-serializes mutations, and scans build their row list under it so concurrent
-writes are invisible mid-scan.
+serializes mutations, and queries build their row list under it so concurrent
+writes are invisible mid-query.
+
+Queries (``select``) run over numpy columns, one row per image in local-id
+order, built from the in-memory records on the first select and kept current
+by every later write. An expression becomes one boolean mask, ``AND``/``OR``/
+``NOT`` as ``&``/``|``/``~`` and each predicate as one vector comparison, and
+joined rows are built only for the images it selects.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import operator
 import os
 import struct
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import (
     IntegrityError,
@@ -30,12 +41,13 @@ from .errors import (
     UnknownImage,
     UnknownPatient,
 )
-from .model import DerivedRecord, ImageRecord, PatientRecord
+from .mgql import And, Expr, Not, Or, Pred
+from .model import DERIVED_KINDS, DerivedRecord, ImageRecord, PatientRecord
 
 _LEN = struct.Struct(">I")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlobRef:
     sha256: str
     size_bytes: int
@@ -71,6 +83,159 @@ def _frames(data: bytes):
         pos = end
 
 
+# --- query columns -------------------------------------------------------------
+
+# One slot per image, in local-id order. Strings are codes into per-store
+# dictionaries; "smf" and "cade" say whether the image has that derived kind.
+_IMAGE_COLUMNS = (
+    ("local_id", np.int64),
+    ("patient.id", np.int32),  # the patient's code: its slot in the patient columns
+    ("image.laterality", np.int32),
+    ("image.view", np.int32),
+    ("image.modality", np.int32),
+    ("image.study_date", np.int32),  # YYYYMMDD as an int orders as the string does
+    ("patient.age", np.int64),
+    ("derived.density_pct", np.float64),
+    ("derived.num_findings", np.float64),
+    ("smf", np.bool_),
+    ("cade", np.bool_),
+)
+# One slot per patient; an upsert rewrites its slot.
+_PATIENT_COLUMNS = (
+    ("patient.sex", np.int32),
+    ("patient.height_m", np.float64),
+    ("patient.weight_kg", np.float64),
+)
+_CODED = ("patient.id", "patient.sex", "image.laterality", "image.view", "image.modality")
+# A derived number is present when its kind is; other float columns hold NaN
+# for an absent value.
+_PRESENT_WITH = {f"derived.{field}": kind for kind, field in DerivedRecord.REQUIRED.items()}
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compare(values: np.ndarray, op: str, literal) -> np.ndarray:
+    """``values <op> literal`` for each value, as Python compares numbers."""
+    try:
+        return _COMPARE[op](values, literal)
+    except OverflowError:  # an int past every float orders like an infinity
+        return _COMPARE[op](values, math.inf if literal > 0 else -math.inf)
+
+
+def _optional(value) -> float:
+    return math.nan if value is None else value
+
+
+def _grow(columns: dict, used: int) -> None:
+    """Make room for one more slot, doubling the arrays when they are full."""
+    if used < len(columns[next(iter(columns))]):
+        return
+    for name, array in columns.items():
+        bigger = np.empty(max(2 * used, 8), array.dtype)
+        bigger[:used] = array[:used]
+        columns[name] = bigger
+
+
+class _Columns:
+    """A store's patients, images and latest derived values as numpy columns.
+
+    The first ``n`` image slots and ``len(pids)`` patient slots hold data.
+    """
+
+    def __init__(self, patients: dict, images: dict, latest: dict) -> None:
+        self.image = {name: np.empty(len(images), dtype) for name, dtype in _IMAGE_COLUMNS}
+        self.patient = {name: np.empty(len(patients), dtype) for name, dtype in _PATIENT_COLUMNS}
+        self.n = 0
+        self.codes: dict = {field: {} for field in _CODED}
+        self.pids: list = []  # patient code -> pid
+        for patient in patients.values():
+            self.set_patient(patient)
+        for local_id in sorted(images):
+            self.add_image(images[local_id])
+        for derived in latest.values():
+            self.set_derived(derived)
+
+    def _code(self, field: str, value: str) -> int:
+        codes = self.codes[field]
+        return codes.setdefault(value, len(codes))
+
+    def set_patient(self, patient: PatientRecord) -> None:
+        slot = self.codes["patient.id"].get(patient.pid)
+        if slot is None:
+            _grow(self.patient, len(self.pids))
+            slot = self._code("patient.id", patient.pid)
+            self.pids.append(patient.pid)
+        self.patient["patient.sex"][slot] = self._code("patient.sex", patient.sex)
+        self.patient["patient.height_m"][slot] = _optional(patient.height_m)
+        self.patient["patient.weight_kg"][slot] = _optional(patient.weight_kg)
+
+    def add_image(self, image: ImageRecord) -> None:
+        """Append an image; its local id is above every id already here."""
+        _grow(self.image, self.n)
+        values = {
+            "local_id": image.local_id,
+            "patient.id": self.codes["patient.id"][image.pid],
+            "image.laterality": self._code("image.laterality", image.laterality),
+            "image.view": self._code("image.view", image.view),
+            "image.modality": self._code("image.modality", image.modality),
+            "image.study_date": int(image.study_date),
+            "patient.age": image.age_at_study,
+            "derived.density_pct": math.nan,
+            "derived.num_findings": math.nan,
+            "smf": False,
+            "cade": False,
+        }
+        for name, value in values.items():
+            self.image[name][self.n] = value
+        self.n += 1
+
+    def set_derived(self, derived: DerivedRecord) -> None:
+        slot = int(np.searchsorted(self.column("local_id"), derived.image_local_id))
+        field = DerivedRecord.REQUIRED[derived.kind]
+        self.image[derived.kind][slot] = True
+        self.image[f"derived.{field}"][slot] = derived.fields[field]
+
+    def column(self, field: str) -> np.ndarray:
+        """One value per image; a patient field is read through the image's patient code."""
+        if field in self.patient:
+            return self.patient[field][self.image["patient.id"][:self.n]]
+        return self.image[field][:self.n]
+
+    def mask(self, node: Expr) -> np.ndarray:
+        """The images ``node`` selects, as a boolean array."""
+        if isinstance(node, And):
+            return self.mask(node.left) & self.mask(node.right)
+        if isinstance(node, Or):
+            return self.mask(node.left) | self.mask(node.right)
+        if isinstance(node, Not):
+            return ~self.mask(node.expr)
+        return self._pred(node)
+
+    def _pred(self, pred: Pred) -> np.ndarray:
+        """One predicate; an absent value makes it false."""
+        field, op, literal = pred.field, pred.op, pred.value
+        if field == "derived.kind":  # = tests membership; != that some other kind is present
+            kinds = [self.column(kind) for kind in DERIVED_KINDS
+                     if (kind == literal) == (op == "=")]
+            return functools.reduce(operator.or_, kinds, np.zeros(self.n, bool))
+        values = self.column(field)
+        if field in self.codes:
+            code = self.codes[field].get(literal)
+            if code is None:  # no record holds this string
+                return np.full(self.n, op == "!=")
+            return _compare(values, op, code)
+        if field == "image.study_date":
+            literal = tuple(map(int, literal)) if op == "in" else int(literal)
+        if op == "in":
+            hit = _compare(values, ">=", literal[0]) & _compare(values, "<=", literal[1])
+        else:
+            hit = _compare(values, op, literal)
+        if values.dtype.kind == "f":  # NaN != x is true, so presence is ANDed in
+            flag = _PRESENT_WITH.get(field)
+            hit &= self.column(flag) if flag else ~np.isnan(values)
+        return hit
+
+
 class SiteStore:
     def __init__(self, data_dir) -> None:
         self.data_dir = Path(data_dir)
@@ -88,6 +253,7 @@ class SiteStore:
         self._next_image = 1
         self._next_derived = 1
         self._blob_bytes = 0
+        self._columns: Optional[_Columns] = None  # built by the first select
 
         self._replay()
         self._log = open(self._log_path, "ab")
@@ -190,6 +356,8 @@ class SiteStore:
         with self._lock:
             self._append("patient", asdict(patient))
             self._patients[patient.pid] = patient
+            if self._columns is not None:
+                self._columns.set_patient(patient)
 
     def insert_image(self, image: ImageRecord) -> int:
         with self._lock:
@@ -199,6 +367,8 @@ class SiteStore:
             image.validate()
             self._append("image", asdict(image))
             self._apply_image(image)
+            if self._columns is not None:
+                self._columns.add_image(image)
             return image.local_id
 
     def add_image(self, data: bytes, patient: PatientRecord,
@@ -231,6 +401,8 @@ class SiteStore:
             self._num_derived += 1
             self._latest[(derived.image_local_id, derived.kind)] = derived
             self._next_derived += 1
+            if self._columns is not None:
+                self._columns.set_derived(derived)
             return derived.local_id
 
     # --- lookups ---------------------------------------------------------------
@@ -327,11 +499,31 @@ class SiteStore:
             row["patient.weight_kg"] = patient.weight_kg
         return row
 
+    def select(self, expr: Optional[Expr], target: str = "images") -> list[dict]:
+        """The rows of the images ``expr`` selects; ``None`` selects every image.
+
+        The same rows ``scan`` builds, in the same order, but ``expr`` is
+        evaluated as one mask over the columns and rows are built only for
+        the images it selects. ``target="patients"`` projects their distinct
+        patients. The expression must hold no ``site.id`` predicate.
+        """
+        with self._lock:
+            if self._columns is None:
+                self._columns = _Columns(self._patients, self._images, self._latest)
+            columns = self._columns
+            hit = slice(None) if expr is None else columns.mask(expr)
+            if target == "images":
+                return [self._joined_row(self._images[local_id])
+                        for local_id in columns.column("local_id")[hit].tolist()]
+            codes = np.unique(columns.column("patient.id")[hit]).tolist()
+            return [self._patient_row(pid) for pid in sorted(columns.pids[c] for c in codes)]
+
     def scan(self, pred: Optional[Callable[[dict], bool]], target: str = "images") -> list[dict]:
         """Joined rows (patient x image x latest derived per kind) matching pred.
 
         ``target="patients"`` projects the distinct patients whose joined rows
         matched, ordered by pid; image rows come back in local_id order.
+        Queries use ``select``; this row-at-a-time form serves ``dump_rows``.
         """
         with self._lock:
             matched = []

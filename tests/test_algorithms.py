@@ -22,6 +22,7 @@ from mgvo.harness import corpus
 from mgvo.harness.config import parse_topology
 from mgvo.harness.sim import SimVO
 from mgvo.model import PatientRecord, ImageRecord
+from mgvo.services import node as node_module
 from mgvo.services import wire
 from mgvo.services.registry import SiteDescriptor
 from mgvo.store import SiteStore
@@ -642,6 +643,36 @@ def test_job_survives_origin_restart(vo):
     status = vo.job_status("site_a", job_id)
     assert status["state"] == alg.JOB_COMPLETED
 
+
+
+def test_a_node_keeps_only_the_most_recently_finished_jobs(vo, monkeypatch):
+    monkeypatch.setattr(node_module, "RETAINED_FINISHED_JOBS", 3)
+    vo.algo_add("site_a", "density-v1", "density")
+    selector = "SELECT images WHERE patient.age > 0"
+    pending = vo.algo_exec("site_a", "density-v1", selector)  # never drained before restart
+    finished = []
+    for _ in range(5):
+        finished.append(vo.algo_exec("site_a", "density-v1", selector))
+        vo.nodes["site_a"].drain_job(finished[-1])
+
+    def known(job_id):
+        try:
+            vo.job_status("site_a", job_id)
+        except RemoteError as exc:
+            assert exc.code == "NotFound"
+            return False
+        return True
+
+    assert [known(job_id) for job_id in finished] == [False, False, True, True, True]
+    assert known(pending)  # unfinished jobs are always kept, however old
+    vo.restart("site_a")  # boot keeps the same jobs
+    assert [known(job_id) for job_id in finished] == [False, False, True, True, True]
+    assert known(pending)
+    vo.drain("site_a")  # the pending job finishes last, so the oldest kept one goes
+    assert [known(job_id) for job_id in finished] == [False, False, False, True, True]
+    assert vo.job_status("site_a", pending)["state"] == alg.JOB_COMPLETED
+    # the log keeps every job
+    assert set(vo.nodes["site_a"].store.jobs()) == {pending, *finished}
 
 def _vo_one_image_per_site(tmp_path, topology_text):
     vo = SimVO(parse_topology(topology_text), tmp_path / "vo")

@@ -8,6 +8,7 @@ import pytest
 from mgvo import federation, mgql
 from mgvo.errors import MalformedXml, SchemaViolation, UnknownSite
 from mgvo.federation import ResultRow, ResultSet
+from mgvo.harness import oracle
 from mgvo.model import PatientRecord, ImageRecord
 from mgvo.services.registry import SiteDescriptor
 from mgvo.store import SiteStore
@@ -130,14 +131,14 @@ def test_execute_local_sees_own_site_id(tmp_path, closing):
 
 
 class _OneRowStore:
-    """A store of one row whose ``scan`` records each predicate it is given."""
+    """A store of one row whose ``select`` records each expression it is given."""
 
     def __init__(self, row):
-        self.row, self.preds = row, []
+        self.row, self.exprs = row, []
 
-    def scan(self, pred, target):
-        self.preds.append(pred)
-        return [self.row] if pred is None or pred(self.row) else []
+    def select(self, expr, target):
+        self.exprs.append(expr)
+        return [self.row] if expr is None or oracle.ref_eval(expr, self.row) else []
 
 
 def test_select_folds_site_id_as_evaluation_would():
@@ -149,10 +150,10 @@ def test_select_folds_site_id_as_evaluation_would():
         site = rng.choice(("site_a", "site_b", "site_c"))
         store = _OneRowStore(row)
         selected = federation.select(store, site, mgql.Query("images", expr))
-        assert bool(selected) == mgql.evaluate(expr, {**row, "site.id": site})
-        if store.preds in ([], [None]):  # folded to a constant: no predicate runs
+        assert bool(selected) == oracle.ref_eval(expr, {**row, "site.id": site})
+        if store.exprs in ([], [None]):  # folded to a constant: no expression runs
             constant += 1
-            assert bool(selected) == bool(store.preds)
+            assert bool(selected) == bool(store.exprs)
     assert 0 < constant < 5000
 
 
@@ -303,6 +304,10 @@ def test_from_xml_checks_order_and_grammar_on_canonical_bytes():
         ResultSet("images", (), (ResultRow("site_b", "site_a:1", ()),), True, ()),
         ResultSet("images", (), (ResultRow("site_a", "site_a:x", ()),), True, ()),
         ResultSet("images", (), (ResultRow("site_a", "site_a:\u00b2", ()),), True, ()),
+        ResultSet("images", (), (ResultRow("site_a", "site_a:" + "1" * 5000, ()),), True, ()),
+        ResultSet("images", (), (ResultRow("Site_A", "Site_A:1", ()),), True, ()),
+        ResultSet("images", (), (ResultRow("site_a\n", "site_a\n:1", ()),), True, ()),
+        ResultSet("images", (), (row, ResultRow("site_a", "site_b:2", ())), True, ()),
         ResultSet("images", (), (), False, (("site_c", "x"), ("site_b", "x"))),
         ResultSet("images", (), (row,), False, ()),
         ResultSet("images", (), (), True, (("site_b", "x"),)),
@@ -438,6 +443,8 @@ def _bad_parts():
         "number row id": with_row(0, [2] + row[1:]),
         "row id of another site": with_row(0, ["site_a:2"] + row[1:]),
         "row id not a gfid": with_row(0, ["site_b"] + row[1:]),
+        "row id with a superscript digit": with_row(0, ["site_b:\u00b2"] + row[1:]),
+        "row id of 5000 digits": with_row(0, ["site_b:" + "1" * 5000] + row[1:]),
         "unordered rows": edited(rows=[good["rows"][1], good["rows"][0], good["rows"][2]]),
         "duplicate rows": edited(rows=[good["rows"][0], good["rows"][0]]),
         "rows ordered as text": edited(rows=sorted(good["rows"])),

@@ -7,7 +7,7 @@ import pytest
 from mgvo import mgql
 from mgvo.errors import BadRange, QuerySyntaxError, TypeMismatch, UnknownField
 
-from helpers import rand_expr, rand_query, rand_row
+from helpers import rand_expr, rand_query
 
 
 def test_parse_reference_forms():
@@ -141,69 +141,3 @@ def test_date_literals_stay_lexical():
     assert q.expr.value == ("20040101", "20041231")
     with pytest.raises(TypeMismatch):
         mgql.parse_query("SELECT images WHERE image.study_date = 20040230")
-
-
-def _truth_table_eval(expr, row):
-    """Independent recursive evaluation used to cross-check mgql.evaluate."""
-    if isinstance(expr, mgql.And):
-        return _truth_table_eval(expr.left, row) and _truth_table_eval(expr.right, row)
-    if isinstance(expr, mgql.Or):
-        return _truth_table_eval(expr.left, row) or _truth_table_eval(expr.right, row)
-    if isinstance(expr, mgql.Not):
-        return not _truth_table_eval(expr.expr, row)
-    value = row.get(expr.field)
-    if value is None:
-        return False
-    if expr.field == "derived.kind":
-        kinds = set(value)
-        if expr.op == "=":
-            return expr.value in kinds
-        return bool(kinds - {expr.value})
-    if expr.op == "in":
-        return expr.value[0] <= value <= expr.value[1]
-    import operator
-    table = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-    return table[expr.op](value, expr.value)
-
-
-def test_evaluate_against_reference_semantics():
-    rng = random.Random(43)
-    for _ in range(2000):
-        expr = rand_expr(rng)
-        row = rand_row(rng)
-        assert mgql.evaluate(expr, row) == _truth_table_eval(expr, row)
-
-
-def test_missing_fields_collapse_to_false():
-    pred = mgql.parse_query("SELECT images WHERE patient.height_m > 1.5").expr
-    assert mgql.evaluate(pred, {}) is False
-    # NOT negates the collapsed value: a missing field is NOT-matched
-    assert mgql.evaluate(mgql.Not(pred), {}) is True
-    both = mgql.parse_query(
-        "SELECT images WHERE patient.height_m > 1.5 OR patient.age > 40").expr
-    assert mgql.evaluate(both, {"patient.age": 50}) is True
-
-
-def test_derived_kind_set_semantics():
-    eq = mgql.parse_query("SELECT images WHERE derived.kind = 'smf'").expr
-    ne = mgql.parse_query("SELECT images WHERE derived.kind != 'smf'").expr
-    assert mgql.evaluate(eq, {"derived.kind": ("smf",)}) is True
-    assert mgql.evaluate(eq, {"derived.kind": ("cade",)}) is False
-    assert mgql.evaluate(eq, {}) is False
-    # != means: some present kind differs (not "smf is absent")
-    assert mgql.evaluate(ne, {"derived.kind": ("smf",)}) is False
-    assert mgql.evaluate(ne, {"derived.kind": ("smf", "cade")}) is True
-    assert mgql.evaluate(ne, {}) is False
-
-
-def test_range_evaluation_is_inclusive():
-    pred = mgql.parse_query("SELECT images WHERE patient.age IN [40, 49]").expr
-    assert mgql.evaluate(pred, {"patient.age": 40}) is True
-    assert mgql.evaluate(pred, {"patient.age": 49}) is True
-    assert mgql.evaluate(pred, {"patient.age": 39}) is False
-    assert mgql.evaluate(pred, {"patient.age": 50}) is False
-    dates = mgql.parse_query(
-        "SELECT images WHERE image.study_date IN [20040101, 20041231]").expr
-    assert mgql.evaluate(dates, {"image.study_date": "20040615"}) is True
-    assert mgql.evaluate(dates, {"image.study_date": "20050101"}) is False

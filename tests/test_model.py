@@ -88,6 +88,13 @@ def test_gfid_rejects_malformed():
             model.parse_gfid(bad)
 
 
+
+def test_a_trailing_newline_is_not_part_of_a_site_id():
+    # "$" would match before a final newline; a site id must end the string.
+    assert model.SITE_ID_RE.match("site_a\n") is None
+    with pytest.raises(BadGfid):
+        model.parse_gfid("site_a\n:1")
+
 def test_patient_record_validation():
     good = model.PatientRecord(pid="0123456789abcdef", sex="F", birth_year=1960,
                                height_m=1.62, weight_kg=70.0)

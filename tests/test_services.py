@@ -22,6 +22,7 @@ from mgvo.errors import (
     Expired,
     FrameTooLarge,
     IntegrityError,
+    InvariantViolation,
     PortClash,
     RemoteError,
     Timeout,
@@ -271,6 +272,17 @@ def test_registry_register_and_list(tmp_path):
     assert ask_error(reg, "RegisterSite", token,
                      {"site_id": "site_c", "address": ""}) == "DuplicateAddress"
 
+
+
+def test_a_site_id_with_a_trailing_newline_is_refused(tmp_path):
+    reg = make_registry(tmp_path)
+    assert ask_error(reg, "RegisterSite", login(reg),
+                     {"site_id": "site_a\n", "address": "a.sim:7001"}) == "UnknownSite"
+    with pytest.raises(InvariantViolation):
+        Node({"site_id": "site_a\n", "listen": "127.0.0.1:1", "registry": "127.0.0.1:2",
+              "data_dir": str(tmp_path / "site_a"),
+              "site_secret": "site-a-secret-0123456789abcdef", "vo_secret": VO_SECRET},
+             TcpTransport())
 
 def test_registry_algorithms_need_admin(tmp_path):
     reg = make_registry(tmp_path)

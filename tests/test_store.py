@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from mgvo import mgql
 from mgvo.errors import (
     IntegrityError,
     NotFound,
@@ -15,7 +16,10 @@ from mgvo.errors import (
     UnknownPatient,
 )
 from mgvo.model import DerivedRecord, ImageRecord, PatientRecord
+from mgvo.harness import oracle
 from mgvo.store import SiteStore
+
+from helpers import STRING_FIELD_POOL, rand_date, rand_expr
 
 PID = "0123456789abcdef"
 PID2 = "fedcba9876543210"
@@ -137,6 +141,48 @@ def test_concurrent_adds_of_one_file_store_it_once(tmp_path):
     store.close()
 
 
+
+def test_selects_beside_concurrent_inserts_see_a_gap_free_prefix(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
+    store.upsert_patient(make_patient())
+    store.insert_image(make_image(store, data=b"first"))
+    store.select(None)  # the columns exist before the writers start
+    everything = mgql.parse_query("SELECT images WHERE patient.age >= 0").expr
+    errors = []
+
+    def write(w):
+        for i in range(60):
+            local = store.insert_image(make_image(store, data=f"w{w}/{i}".encode()))
+            store.insert_derived(DerivedRecord(0, local, "smf", {"density_pct": 1.0}))
+
+    def read():
+        # Each select sees one state: the mask and the rows built from the
+        # records agree on it.
+        for _ in range(60):
+            ids = [row["_local_id"] for row in store.select(everything)]
+            dense = store.select(_where("derived.kind = 'smf'"))
+            bare = store.select(_where("NOT derived.kind = 'smf'"))
+            if (ids != list(range(1, len(ids) + 1))
+                    or any("derived.kind" not in row for row in dense)
+                    or any("derived.kind" in row for row in bare)):
+                errors.append(ids)
+
+    threads = ([threading.Thread(target=write, args=(w,)) for w in range(4)]
+               + [threading.Thread(target=read) for _ in range(2)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.select(everything) == store.dump_rows()
+    assert len(store.select(_where("derived.kind = 'smf'"))) == 240
+
 def test_find_image_by_blob(tmp_path, closing):
     store = closing(SiteStore(tmp_path))
     store.upsert_patient(make_patient())
@@ -204,6 +250,155 @@ def test_joined_row_carries_latest_derived(tmp_path, closing):
     assert row["derived.kind"] == ("smf", "cade")
     assert row["derived.density_pct"] == 12.5
     assert row["derived.num_findings"] == 3
+
+
+
+# --- select: the column mask against the reference semantics ------------------------
+
+def _where(text):
+    return mgql.parse_query(f"SELECT images WHERE {text}").expr
+
+
+def _selected(store, text, target="images"):
+    key = "_local_id" if target == "images" else "_pid"
+    return [row[key] for row in store.select(_where(text), target)]
+
+
+def test_missing_fields_collapse_to_false(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
+    store.upsert_patient(make_patient())  # no height
+    img = store.insert_image(make_image(store, age_at_study=50))
+    assert _selected(store, "patient.height_m > 1.5") == []
+    assert _selected(store, "patient.height_m != 1.5") == []
+    # NOT negates the collapsed value: a missing field is NOT-matched
+    assert _selected(store, "NOT patient.height_m > 1.5") == [img]
+    assert _selected(store, "NOT patient.height_m != 1.5") == [img]
+    assert _selected(store, "patient.height_m > 1.5 OR patient.age > 40") == [img]
+    assert _selected(store, "NOT derived.density_pct >= 0.0") == [img]
+
+
+def test_derived_kind_set_semantics(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
+    store.upsert_patient(make_patient())
+    smf, both, none = (store.insert_image(make_image(store, data=f"k{i}".encode()))
+                       for i in range(3))
+    for img in (smf, both):
+        store.insert_derived(DerivedRecord(0, img, "smf", {"density_pct": 10.0}))
+    store.insert_derived(DerivedRecord(0, both, "cade", {"num_findings": 1}))
+    assert _selected(store, "derived.kind = 'smf'") == [smf, both]
+    assert _selected(store, "derived.kind = 'cade'") == [both]
+    assert _selected(store, "derived.kind = 'other'") == []
+    # != means: some present kind differs (not "smf is absent")
+    assert _selected(store, "derived.kind != 'smf'") == [both]
+    assert _selected(store, "derived.kind != 'cade'") == [smf, both]
+    assert _selected(store, "derived.kind != 'other'") == [smf, both]
+    assert _selected(store, "NOT derived.kind = 'smf'") == [none]
+
+
+def test_range_evaluation_is_inclusive(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
+    store.upsert_patient(make_patient())
+    ages = {store.insert_image(make_image(store, data=f"a{age}".encode(), age_at_study=age,
+                                          study_date=date)): age
+            for age, date in ((39, "20031231"), (40, "20040101"), (49, "20041231"),
+                              (50, "20050101"))}
+    assert [ages[i] for i in _selected(store, "patient.age IN [40, 49]")] == [40, 49]
+    assert [ages[i] for i in _selected(
+        store, "image.study_date IN [20040101, 20041231]")] == [40, 49]
+    assert [ages[i] for i in _selected(store, "image.study_date < 20040101")] == [39]
+
+
+def test_unknown_literals_and_literals_past_int64(tmp_path, closing):
+    store = closing(SiteStore(tmp_path))
+    store.upsert_patient(make_patient(height_m=1.6))
+    img = store.insert_image(make_image(store))
+    assert _selected(store, "image.modality = 'XR'") == []
+    assert _selected(store, "image.modality != 'XR'") == [img]
+    assert _selected(store, "patient.id = 'ffffffffffffffff'", "patients") == []
+    assert _selected(store, f"patient.age < {2 ** 64}") == [img]
+    assert _selected(store, f"patient.age >= {2 ** 64}") == []
+    assert _selected(store, f"patient.height_m < {10 ** 400}") == [img]
+    assert _selected(store, f"patient.height_m > -{10 ** 400}") == [img]
+    assert _selected(store, f"patient.height_m = {10 ** 400}") == []
+
+
+# A store the differential test fills: patient ids from the generators'
+# pool, so that equality literals can hit.
+_PIDS = list(STRING_FIELD_POOL["patient.id"]) + ["00000000000000aa", "00000000000000bb"]
+_STORE_FIELDS = [field for field in mgql.FIELD_TYPES if field != "site.id"]
+
+
+def _rand_patient(rng, pid):
+    return make_patient(pid=pid, sex=rng.choice("FMO"),
+                        height_m=rng.choice([None, rng.randrange(2, 11) / 4.0]),
+                        weight_kg=rng.choice([None, rng.randrange(4, 801) / 4.0]))
+
+
+def _rand_writes(store, rng, dates, images):
+    """Patients (new or upserted), images, and derived versions, at random."""
+    for pid in rng.sample(_PIDS, rng.randrange(1, len(_PIDS) + 1)):
+        store.upsert_patient(_rand_patient(rng, pid))
+    known = [pid for pid in _PIDS if pid in store._patients]
+    for _ in range(rng.randrange(0, 12)):
+        images.append(store.insert_image(make_image(
+            store, pid=rng.choice(known), data=f"img{len(images)}".encode(),
+            modality=rng.choice(["MG", "CT"]), laterality=rng.choice("LR"),
+            view=rng.choice(["CC", "MLO"]), study_date=rng.choice(dates),
+            age_at_study=rng.randrange(20, 101))))
+    for img in rng.sample(images, min(len(images), rng.randrange(0, 8))):
+        if rng.random() < 0.6:
+            store.insert_derived(DerivedRecord(
+                0, img, "smf", {"density_pct": rng.randrange(0, 401) / 4.0}))
+        else:
+            store.insert_derived(DerivedRecord(
+                0, img, "cade", {"num_findings": rng.randrange(0, 6)}))
+
+
+def _odd_literals(node, rng):
+    """``node`` with some literals swapped for strings no record holds or numbers past int64."""
+    if isinstance(node, mgql.Not):
+        return mgql.Not(_odd_literals(node.expr, rng))
+    if not isinstance(node, mgql.Pred):
+        return type(node)(_odd_literals(node.left, rng), _odd_literals(node.right, rng))
+    ftype = mgql.FIELD_TYPES[node.field]
+    if ftype == "string" and rng.random() < 0.2:
+        return mgql.Pred(node.field, node.op, "nowhere")
+    if ftype == "number" and rng.random() < 0.2:
+        huge = rng.choice([2 ** 63, 2 ** 64 + 1, -(2 ** 63) - 1, 10 ** 400, -(10 ** 400)])
+        if node.op == "in":
+            lo, hi = node.value
+            return mgql.Pred(node.field, "in", (lo, abs(huge)) if rng.random() < 0.5
+                             else (-abs(huge), hi))
+        return mgql.Pred(node.field, node.op, huge)
+    return node
+
+
+def _check_select_against_oracle(store, rng, exprs):
+    images, patients = store.dump_rows("images"), store.dump_rows("patients")
+    assert store.select(None) == images
+    assert store.select(None, "patients") == patients
+    by_pid = {row["_pid"]: row for row in patients}
+    for _ in range(exprs):
+        expr = _odd_literals(rand_expr(rng, fields=_STORE_FIELDS), rng)
+        want = [row for row in images if oracle.ref_eval(expr, row)]
+        assert store.select(expr) == want, expr
+        pids = sorted({row["_pid"] for row in want})
+        assert store.select(expr, "patients") == [by_pid[pid] for pid in pids], expr
+
+
+def test_select_matches_the_oracle_on_random_stores(tmp_path, closing):
+    rng = random.Random(23)
+    for trial in range(40):
+        store = closing(SiteStore(tmp_path / str(trial)))
+        dates = [rand_date(rng) for _ in range(4)]
+        images: list = []
+        _rand_writes(store, rng, dates, images)
+        _check_select_against_oracle(store, rng, 40)  # builds the columns
+        # Writes after the build: new images and patients, upserts that
+        # change sex, height or weight, and second derived versions.
+        for _ in range(2):
+            _rand_writes(store, rng, dates, images)
+            _check_select_against_oracle(store, rng, 40)
 
 
 def test_reopen_replays_everything(tmp_path):
