@@ -52,7 +52,7 @@ TASK_FAILED = "FAILED"
 
 # --- descriptors ---------------------------------------------------------------
 
-_ALGO_ID_RE = re.compile(r"^[a-z0-9_]+-v[0-9]+$")
+_ALGO_ID_RE = re.compile(r"^[a-z0-9_]+-v[0-9]+\Z")
 
 _PARAM_RANGES = {
     "normalize": {"target_mean": (0, 65535), "target_std": (1e-9, 65535)},
@@ -228,12 +228,6 @@ def _component_arrays(mask: np.ndarray) -> tuple:
     y1 = y0.copy()
     np.maximum.at(y1, label, rows)
     return area, x0, y0, x1, y1 + 1
-
-
-def _components(mask: np.ndarray) -> list:
-    """``_component_arrays`` as a list of (area, (x0, y0, x1, y1))."""
-    area, *box = _component_arrays(mask)
-    return list(zip(area.tolist(), zip(*(a.tolist() for a in box))))
 
 
 def plugin_microcalc(pixels: np.ndarray, params: dict):

@@ -46,23 +46,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import MalformedXml, SchemaViolation, UnknownSite
-from .model import SITE_ID_RE, format_gfid
+from .model import FIELDS, SITE_ID_RE, format_gfid
 from .mgql import And, Expr, Not, Or, Pred, Query
 
 if TYPE_CHECKING:  # pragma: no cover
     from .services.registry import SiteDescriptor
     from .store import SiteStore
 
-IMAGE_COLUMNS = (
-    "patient.id",
-    "patient.sex",
-    "patient.age",
-    "image.laterality",
-    "image.view",
-    "image.modality",
-    "image.study_date",
-)
-PATIENT_COLUMNS = ("patient.id", "patient.sex", "patient.height_m", "patient.weight_kg")
+IMAGE_COLUMNS, PATIENT_COLUMNS = (
+    tuple(name for name, field in FIELDS.items() if target in field.results)
+    for target in ("images", "patients"))
 
 
 @dataclass(frozen=True)

@@ -24,24 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import BadRange, BadValue, QuerySyntaxError, TypeMismatch, UnknownField
-from .model import parse_ymd
+from .model import FIELDS, parse_ymd
 
 #: field path -> literal type ("string" | "number" | "date")
-FIELD_TYPES = {
-    "patient.id": "string",
-    "patient.sex": "string",
-    "patient.age": "number",
-    "patient.height_m": "number",
-    "patient.weight_kg": "number",
-    "image.laterality": "string",
-    "image.view": "string",
-    "image.modality": "string",
-    "image.study_date": "date",
-    "derived.kind": "string",
-    "derived.density_pct": "number",
-    "derived.num_findings": "number",
-    "site.id": "string",
-}
+FIELD_TYPES = {name: field.type for name, field in FIELDS.items()}
 
 COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 _EQUALITY_ONLY = ("=", "!=")

@@ -17,13 +17,50 @@ from .errors import BadGfid, BadValue, EmptyId, InvariantViolation, NegativeAge,
 if TYPE_CHECKING:  # pragma: no cover - annotation only, no runtime cycle
     from .store import BlobRef
 
-PSEUDONYM_RE = re.compile(r"^[0-9a-f]{16}$")
+PSEUDONYM_RE = re.compile(r"^[0-9a-f]{16}\Z")
 SITE_ID_RE = re.compile(r"^[a-z0-9_]{1,32}\Z")
 
 SEXES = ("F", "M", "O")
 LATERALITIES = ("L", "R")
 VIEWS = ("CC", "MLO")
 DERIVED_KINDS = ("smf", "cade")
+
+
+@dataclass(frozen=True, slots=True)
+class Field:
+    """One MGQL field: how a query types it, and how a site's columns hold it."""
+
+    name: str
+    type: str  # the MGQL literal type: "string", "number" or "date"
+    # The record carrying the value: "patient" (held on the patient slot),
+    # "image", "derived" (any kind), one derived kind, or "" (no store holds it).
+    record: str
+    key: str  # the value's key in that record (for one derived kind, in its ``fields``)
+    # "code" into a dictionary, "int", "date" (YYYYMMDD as an int), "float"
+    # (NaN when absent) or "kind" (a flag per derived kind); a derived
+    # number is present when its kind is
+    encoding: str
+    optional: bool  # an absent value leaves the row without the key
+    results: tuple = ()  # the targets whose result columns include it
+
+
+FIELDS = {field.name: field for field in (
+    Field("patient.id", "string", "patient", "pid", "code", False, ("images", "patients")),
+    Field("patient.sex", "string", "patient", "sex", "code", False, ("images", "patients")),
+    Field("patient.age", "number", "image", "age_at_study", "int", False, ("images",)),
+    Field("patient.height_m", "number", "patient", "height_m", "float", True, ("patients",)),
+    Field("patient.weight_kg", "number", "patient", "weight_kg", "float", True, ("patients",)),
+    Field("image.laterality", "string", "image", "laterality", "code", False, ("images",)),
+    Field("image.view", "string", "image", "view", "code", False, ("images",)),
+    Field("image.modality", "string", "image", "modality", "code", False, ("images",)),
+    Field("image.study_date", "date", "image", "study_date", "date", False, ("images",)),
+    Field("derived.kind", "string", "derived", "kind", "kind", True),
+    Field("derived.density_pct", "number", "smf", "density_pct", "float", True),
+    Field("derived.num_findings", "number", "cade", "num_findings", "int", True),
+    Field("site.id", "string", "", "", "", False),
+)}
+# the field that holds each derived kind's value, which its records must carry
+DERIVED_FIELDS = {f.record: f for f in FIELDS.values() if f.record in DERIVED_KINDS}
 
 
 def pseudonymize(raw_id: str, site_secret: bytes) -> str:
@@ -122,8 +159,8 @@ class ImageRecord:
         if self.view not in VIEWS:
             raise InvariantViolation(f"bad view: {self.view!r}")
         parse_ymd(self.study_date)
-        if self.age_at_study < 0:
-            raise InvariantViolation("age_at_study is negative")
+        if not 0 <= self.age_at_study <= 9999:  # no span of YYYYMMDD dates is longer
+            raise InvariantViolation(f"age_at_study out of range: {self.age_at_study}")
         if self.rows < 1 or self.cols < 1:
             raise InvariantViolation("image dimensions must be positive")
 
@@ -137,14 +174,16 @@ class DerivedRecord:
     algo_id: str = ""
     job_id: str = ""
 
-    REQUIRED = {"smf": "density_pct", "cade": "num_findings"}
-
     def validate(self) -> None:
         if self.kind not in DERIVED_KINDS:
             raise InvariantViolation(f"bad derived kind: {self.kind!r}")
-        needed = self.REQUIRED[self.kind]
-        if needed not in self.fields:
-            raise InvariantViolation(f"derived kind {self.kind!r} requires field {needed!r}")
+        needed = DERIVED_FIELDS[self.kind]
+        if needed.key not in self.fields:
+            raise InvariantViolation(f"derived kind {self.kind!r} requires field {needed.key!r}")
         for name, value in self.fields.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvariantViolation(f"derived field {name!r} is not numeric")
+            if not -(2 ** 63) < value < 2 ** 63:  # NaN fails too; both column dtypes hold the rest
+                raise InvariantViolation(f"derived field {name!r} out of range: {value}")
+        if needed.encoding == "int" and not isinstance(self.fields[needed.key], int):
+            raise InvariantViolation(f"derived field {needed.key!r} is not an integer")

@@ -253,10 +253,10 @@ class Node:
         gfid = parse_gfid(str(body.get("gfid", "")))
         if gfid.site_id == self.site_id:
             try:
-                image = self.store.image(gfid.local_id)
+                blob = self.store.blob(gfid.local_id)
             except UnknownImage as exc:
                 raise NotFound(str(exc)) from None
-            return {"gfid": str(gfid), "file_b64": wire.to_b64(self.store.get_blob(image.blob))}
+            return {"gfid": str(gfid), "file_b64": wire.to_b64(self.store.get_blob(blob))}
         desc = self._site_or_refresh(gfid.site_id)
         if desc is None:
             raise NotFound(f"no site {gfid.site_id!r} in the VO")

@@ -12,13 +12,13 @@ separate flat file so they can be managed with a text editor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from threading import RLock
 
 from . import auth, wire
 from ..algorithms import AlgorithmDescriptor, validate_descriptor
-from ..errors import BadFrame, DuplicateAddress, DuplicateAlgoId, MgError, UnknownSite
+from ..errors import DuplicateAddress, DuplicateAlgoId, IntegrityError, MgError, UnknownSite
 from ..model import SITE_ID_RE
 
 
@@ -61,11 +61,18 @@ class Registry:
             return
         state = json.loads(self.state_path.read_text(encoding="utf-8"))
         for entry in state.get("sites", []):
-            desc = SiteDescriptor.from_dict(entry)
+            desc = self._entry(SiteDescriptor, entry)
             self._sites[desc.site_id] = desc
         for entry in state.get("algorithms", []):
-            algo = AlgorithmDescriptor.from_dict(entry)
+            algo = self._entry(AlgorithmDescriptor, entry)
             self._algorithms[algo.algo_id] = algo
+
+    def _entry(self, cls, entry):
+        """A saved ``cls``: an object with a key for each of its fields."""
+        keys = {f.name for f in fields(cls)}
+        if not isinstance(entry, dict) or not entry.keys() >= keys:
+            raise IntegrityError(f"{self.state_path}: not an object with {sorted(keys)}: {entry!r}")
+        return cls.from_dict(entry)
 
     def _save(self) -> None:
         state = {
@@ -93,7 +100,7 @@ class Registry:
                 return wire.ok_response(self._op_list_sites())
             if op == "AddAlgorithm":
                 return wire.ok_response(self._op_add_algorithm(claims, body))
-            raise BadFrame(f"the registry does not serve op {op!r}")
+            return wire.error_response("UnknownOp", f"the registry does not serve op {op!r}")
         except MgError as exc:
             return wire.response_for(exc)
         except Exception as exc:  # keep the service up on programming errors

@@ -1,32 +1,35 @@
-"""Per-site persistence: content-addressed blobs + an append-only record log.
+"""Per-site persistence: content-addressed blobs, an append-only record log,
+and the numpy columns that are the in-memory index.
 
 Blobs live under ``data_dir/blobs/<first 2 hex>/<sha256>`` and are verified on
-every read. Metadata records (patients, images, derived results, jobs) are
-appended to ``data_dir/meta.log`` as length-prefixed JSON and the whole
-index is rebuilt by replaying the log at startup. A torn tail (crash
-mid-append) is cut off; a whole record that does not decode raises
-``IntegrityError``. Memory holds only the latest derived record per image and
-kind; older versions stay in the log. One writer, many readers: a single lock
-serializes mutations, and queries build their row list under it so concurrent
-writes are invisible mid-query.
+every read. Records (patients, images, derived results, jobs) are appended to
+``data_dir/meta.log`` as length-prefixed JSON and replayed at startup. A torn
+tail (crash mid-append) is cut off; a whole record that does not decode,
+lacks its kind's exact keys and JSON types, or holds a value its column
+cannot, raises ``IntegrityError``. A single lock serializes writes, and
+queries build their rows under it.
 
-Queries (``select``) run over numpy columns, one row per image in local-id
-order, built from the in-memory records on the first select and kept current
-by every later write. An expression becomes one boolean mask, ``AND``/``OR``/
-``NOT`` as ``&``/``|``/``~`` and each predicate as one vector comparison, and
-joined rows are built only for the images it selects.
+The columns follow the field catalog ``model.FIELDS``. Image slot ``i`` is
+local id ``i + 1`` with its latest derived value per kind; a patient slot is
+the latest version of one patient; strings are codes into per-store
+dictionaries. Replay encodes each record into its slot's values as it reads
+it and makes one array per column at the end; a later write encodes its one
+record the same way and puts it into the arrays. Older derived versions, and an
+image's ``rows`` and ``cols``, stay in the log only. A query (``select``)
+becomes one boolean mask, and its rows are built column by column.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
 import os
 import struct
 import threading
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -42,9 +45,11 @@ from .errors import (
     UnknownPatient,
 )
 from .mgql import And, Expr, Not, Or, Pred
-from .model import DERIVED_KINDS, DerivedRecord, ImageRecord, PatientRecord
+from .model import (DERIVED_FIELDS, DERIVED_KINDS, FIELDS, DerivedRecord, Field, ImageRecord,
+                    PatientRecord)
 
 _LEN = struct.Struct(">I")
+_DECODE = json.JSONDecoder().raw_decode  # (value, end) of the JSON value a str starts with
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +68,11 @@ class SiteStats:
 
 
 def _frames(data: bytes):
-    """(kind, record, end offset) of each whole frame of a log, in order.
+    """(kind, record, start offset, end offset) of each whole frame of a log, in order.
 
     Stops at a torn tail: a frame, or a length prefix, cut short by an
-    interrupted append. A whole frame that does not decode is corruption.
+    interrupted append. A whole frame that does not decode, or holds more
+    than one JSON value, is corruption.
     """
     pos = 0
     while pos + 4 <= len(data):
@@ -75,41 +81,72 @@ def _frames(data: bytes):
         if end > len(data):
             return
         try:
-            entry = json.loads(data[pos + 4 : end])
+            text = data[pos + 4 : end].decode()
+            entry, stop = _DECODE(text)
+            if stop != len(text):
+                raise ValueError(f"extra data at {stop}")
             kind, rec = entry["t"], entry["rec"]
         except (ValueError, TypeError, KeyError) as exc:
             raise IntegrityError(f"log record at byte {pos} does not decode: {exc}") from None
-        yield kind, rec, end
+        yield kind, rec, pos, end
         pos = end
 
 
-# --- query columns -------------------------------------------------------------
+# --- logged records --------------------------------------------------------------
 
-# One slot per image, in local-id order. Strings are codes into per-store
-# dictionaries; "smf" and "cade" say whether the image has that derived kind.
-_IMAGE_COLUMNS = (
-    ("local_id", np.int64),
-    ("patient.id", np.int32),  # the patient's code: its slot in the patient columns
-    ("image.laterality", np.int32),
-    ("image.view", np.int32),
-    ("image.modality", np.int32),
-    ("image.study_date", np.int32),  # YYYYMMDD as an int orders as the string does
-    ("patient.age", np.int64),
-    ("derived.density_pct", np.float64),
-    ("derived.num_findings", np.float64),
-    ("smf", np.bool_),
-    ("cade", np.bool_),
-)
-# One slot per patient; an upsert rewrites its slot.
-_PATIENT_COLUMNS = (
-    ("patient.sex", np.int32),
-    ("patient.height_m", np.float64),
-    ("patient.weight_kg", np.float64),
-)
-_CODED = ("patient.id", "patient.sex", "image.laterality", "image.view", "image.modality")
-# A derived number is present when its kind is; other float columns hold NaN
-# for an absent value.
-_PRESENT_WITH = {f"derived.{field}": kind for kind, field in DerivedRecord.REQUIRED.items()}
+# The JSON types a logged value may have, for each type hint of a record's fields.
+_JSON_TYPES = {str: (str,), int: (int,), Optional[float]: (int, float, type(None)),
+               dict: (dict,), BlobRef: (dict,)}
+# and for a derived value, by the encoding of its column
+_NUMBER = {"int": (int,), "float": (int, float)}
+
+
+def _shape(cls) -> tuple:
+    """How a logged ``cls`` record must look: its number of keys, a getter of
+    their values, and every tuple of JSON types those values may have."""
+    hints = typing.get_type_hints(cls, localns={"BlobRef": BlobRef})
+    types = [_JSON_TYPES[hint] for hint in hints.values()]  # an unmapped hint fails at import
+    return len(hints), operator.itemgetter(*hints), set(itertools.product(*types))
+
+
+_PATIENT, _IMAGE, _DERIVED, _BLOB = map(_shape,
+                                         (PatientRecord, ImageRecord, DerivedRecord, BlobRef))
+
+
+def _shaped(rec, shape: tuple) -> bool:
+    """Whether ``rec`` has exactly ``shape``'s keys, with JSON types it allows."""
+    size, values, types = shape
+    try:
+        return type(rec) is dict and len(rec) == size and tuple(map(type, values(rec))) in types
+    except KeyError:
+        return False
+
+
+def _require(ok: bool, kind: str, pos: int) -> None:
+    if not ok:
+        raise IntegrityError(f"log record at byte {pos} is not a well-formed {kind} record")
+
+
+# --- columns ---------------------------------------------------------------------
+
+_STORED = [field for field in FIELDS.values() if field.record]  # all but site.id
+# The columns of a slot. A patient's code is its slot, and it keeps its birth
+# year so that ``patient`` can rebuild the record; an image holds its
+# patient's code and, after its own fields, its latest derived values.
+_PATIENT_SLOT = [f for f in _STORED if f.record == "patient" and f.name != "patient.id"] + [
+    Field("birth_year", "number", "patient", "birth_year", "int", False)]
+_IMAGE_OWN = [FIELDS["patient.id"]] + [f for f in _STORED if f.record == "image"]
+_IMAGE_SLOT = _IMAGE_OWN + [f for f in _STORED if f.record not in ("patient", "image")]
+_ABSENT = [math.nan if f.encoding == "float" else 0 for f in _IMAGE_SLOT[len(_IMAGE_OWN):]]
+# the fields a row holds besides patient.id, which it starts with
+_ROW_FIELDS = {target: [f for f in _STORED if f.name != "patient.id"
+                        and (target == "images" or f.record == "patient")]
+               for target in ("images", "patients")}
+_DTYPES = dict(code=np.int32, int=np.int64, date=np.int32, float=np.float64, kind=np.int8)
+# derived.kind is a set of bits, one per kind
+_BIT = {kind: 1 << i for i, kind in enumerate(DERIVED_KINDS)}
+_KIND_SETS = [tuple(k for k, bit in _BIT.items() if code & bit) for code in range(1 << len(_BIT))]
+
 _COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -122,118 +159,27 @@ def _compare(values: np.ndarray, op: str, literal) -> np.ndarray:
         return _COMPARE[op](values, math.inf if literal > 0 else -math.inf)
 
 
-def _optional(value) -> float:
-    return math.nan if value is None else value
+def _present(field, raw: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """Which of an optional field's ``raw`` values are present, at images whose
+    ``derived.kind`` codes are ``kinds``."""
+    if field.record in _BIT:  # a derived number is there when its kind is
+        return (kinds & _BIT[field.record]) != 0
+    return raw != 0 if field.encoding == "kind" else raw == raw  # NaN is absent
 
 
-def _grow(columns: dict, used: int) -> None:
-    """Make room for one more slot, doubling the arrays when they are full."""
-    if used < len(columns[next(iter(columns))]):
-        return
-    for name, array in columns.items():
-        bigger = np.empty(max(2 * used, 8), array.dtype)
-        bigger[:used] = array[:used]
-        columns[name] = bigger
+def _arrays(fields: list, slots: list) -> dict:
+    """The column of each of ``fields`` for ``slots``, each a list of its values in field order."""
+    columns = zip(*slots) if slots else [()] * len(fields)
+    return {f.name: np.array(column, _DTYPES[f.encoding]) for f, column in zip(fields, columns)}
 
 
-class _Columns:
-    """A store's patients, images and latest derived values as numpy columns.
-
-    The first ``n`` image slots and ``len(pids)`` patient slots hold data.
-    """
-
-    def __init__(self, patients: dict, images: dict, latest: dict) -> None:
-        self.image = {name: np.empty(len(images), dtype) for name, dtype in _IMAGE_COLUMNS}
-        self.patient = {name: np.empty(len(patients), dtype) for name, dtype in _PATIENT_COLUMNS}
-        self.n = 0
-        self.codes: dict = {field: {} for field in _CODED}
-        self.pids: list = []  # patient code -> pid
-        for patient in patients.values():
-            self.set_patient(patient)
-        for local_id in sorted(images):
-            self.add_image(images[local_id])
-        for derived in latest.values():
-            self.set_derived(derived)
-
-    def _code(self, field: str, value: str) -> int:
-        codes = self.codes[field]
-        return codes.setdefault(value, len(codes))
-
-    def set_patient(self, patient: PatientRecord) -> None:
-        slot = self.codes["patient.id"].get(patient.pid)
-        if slot is None:
-            _grow(self.patient, len(self.pids))
-            slot = self._code("patient.id", patient.pid)
-            self.pids.append(patient.pid)
-        self.patient["patient.sex"][slot] = self._code("patient.sex", patient.sex)
-        self.patient["patient.height_m"][slot] = _optional(patient.height_m)
-        self.patient["patient.weight_kg"][slot] = _optional(patient.weight_kg)
-
-    def add_image(self, image: ImageRecord) -> None:
-        """Append an image; its local id is above every id already here."""
-        _grow(self.image, self.n)
-        values = {
-            "local_id": image.local_id,
-            "patient.id": self.codes["patient.id"][image.pid],
-            "image.laterality": self._code("image.laterality", image.laterality),
-            "image.view": self._code("image.view", image.view),
-            "image.modality": self._code("image.modality", image.modality),
-            "image.study_date": int(image.study_date),
-            "patient.age": image.age_at_study,
-            "derived.density_pct": math.nan,
-            "derived.num_findings": math.nan,
-            "smf": False,
-            "cade": False,
-        }
-        for name, value in values.items():
-            self.image[name][self.n] = value
-        self.n += 1
-
-    def set_derived(self, derived: DerivedRecord) -> None:
-        slot = int(np.searchsorted(self.column("local_id"), derived.image_local_id))
-        field = DerivedRecord.REQUIRED[derived.kind]
-        self.image[derived.kind][slot] = True
-        self.image[f"derived.{field}"][slot] = derived.fields[field]
-
-    def column(self, field: str) -> np.ndarray:
-        """One value per image; a patient field is read through the image's patient code."""
-        if field in self.patient:
-            return self.patient[field][self.image["patient.id"][:self.n]]
-        return self.image[field][:self.n]
-
-    def mask(self, node: Expr) -> np.ndarray:
-        """The images ``node`` selects, as a boolean array."""
-        if isinstance(node, And):
-            return self.mask(node.left) & self.mask(node.right)
-        if isinstance(node, Or):
-            return self.mask(node.left) | self.mask(node.right)
-        if isinstance(node, Not):
-            return ~self.mask(node.expr)
-        return self._pred(node)
-
-    def _pred(self, pred: Pred) -> np.ndarray:
-        """One predicate; an absent value makes it false."""
-        field, op, literal = pred.field, pred.op, pred.value
-        if field == "derived.kind":  # = tests membership; != that some other kind is present
-            kinds = [self.column(kind) for kind in DERIVED_KINDS
-                     if (kind == literal) == (op == "=")]
-            return functools.reduce(operator.or_, kinds, np.zeros(self.n, bool))
-        values = self.column(field)
-        if field in self.codes:
-            code = self.codes[field].get(literal)
-            if code is None:  # no record holds this string
-                return np.full(self.n, op == "!=")
-            return _compare(values, op, code)
-        if field == "image.study_date":
-            literal = tuple(map(int, literal)) if op == "in" else int(literal)
-        if op == "in":
-            hit = _compare(values, ">=", literal[0]) & _compare(values, "<=", literal[1])
-        else:
-            hit = _compare(values, op, literal)
-        if values.dtype.kind == "f":  # NaN != x is true, so presence is ANDed in
-            flag = _PRESENT_WITH.get(field)
-            hit &= self.column(flag) if flag else ~np.isnan(values)
-        return hit
+def _put(columns: dict, slot: int, values: list) -> None:
+    """Write one slot's ``values``, one per column; the slot past the arrays doubles them."""
+    if slot == len(next(iter(columns.values()))):
+        for name, array in columns.items():
+            columns[name] = np.concatenate([array, np.empty(max(slot, 8), array.dtype)])
+    for array, value in zip(columns.values(), values):
+        array[slot] = value
 
 
 class SiteStore:
@@ -244,16 +190,10 @@ class SiteStore:
         self._log_path = self.data_dir / "meta.log"
         self._lock = threading.RLock()
 
-        self._patients: dict[str, PatientRecord] = {}
-        self._images: dict[int, ImageRecord] = {}
-        self._num_derived = 0
-        self._latest: dict[tuple[int, str], DerivedRecord] = {}
-        self._image_by_blob: dict[str, int] = {}
+        self._codes: dict = {name: {} for name, f in FIELDS.items() if f.encoding == "code"}
+        self._names: dict = {name: [] for name in self._codes}  # code -> string
         self._jobs: dict[str, dict] = {}
-        self._next_image = 1
-        self._next_derived = 1
         self._blob_bytes = 0
-        self._columns: Optional[_Columns] = None  # built by the first select
 
         self._replay()
         self._log = open(self._log_path, "ab")
@@ -302,7 +242,8 @@ class SiteStore:
 
     # --- record log ------------------------------------------------------
 
-    def _append(self, kind: str, rec: dict) -> None:
+    def _append(self, kind: str, rec: dict) -> dict:
+        """Log ``rec``, and return it."""
         payload = json.dumps({"t": kind, "rec": rec}, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
         try:
@@ -310,65 +251,113 @@ class SiteStore:
             self._log.flush()
         except OSError as exc:
             raise IoFailure(f"appending to {self._log_path}: {exc}") from exc
+        return rec
 
     def _replay(self) -> None:
-        """Rebuild the index from the log, cutting off a torn tail.
+        """Build the columns from the log, checking what the encoders rely on.
 
-        The tail must go before the log reopens for append: a frame appended
-        behind it would be read as the rest of the torn one.
+        The torn tail is cut before the log reopens for append, or a frame
+        appended behind it would be read as the rest of the torn one.
         """
-        if not self._log_path.exists():
-            return
-        data = self._log_path.read_bytes()
-        good = 0  # the end of the last whole frame
-        for kind, rec, good in _frames(data):
-            self._apply(kind, rec)
-        if good < len(data):
-            try:
-                os.truncate(self._log_path, good)
-            except OSError as exc:
-                raise IoFailure(f"cutting the torn tail of {self._log_path}: {exc}") from exc
+        # The values of each slot, a patient's from its latest record: a dict
+        # keeps a pid where its code, given on first sight, puts its slot.
+        patients, images = {}, []
+        latest = {kind: {} for kind in _BIT}  # kind -> image slot -> its latest value
+        self._blobs, self._slot_by_sha, self._next_derived = [], {}, 1
+        if self._log_path.exists():
+            data = self._log_path.read_bytes()
+            good = 0  # the end of the last whole frame
+            for kind, rec, pos, good in _frames(data):
+                if kind == "patient":
+                    _require(_shaped(rec, _PATIENT), kind, pos)
+                    slot = self._code("patient.id", rec["pid"])
+                    patients[slot] = self._encode(_PATIENT_SLOT, rec)
+                elif kind == "image":
+                    date = _shaped(rec, _IMAGE) and rec["study_date"]
+                    _require(date and len(date) == 8 and date.isascii() and date.isdigit()
+                             and _shaped(rec["blob"], _BLOB)
+                             and rec["pid"] in self._codes["patient.id"]
+                             and rec["local_id"] == len(images) + 1, kind, pos)
+                    images.append(self._encode(_IMAGE_OWN, rec) + _ABSENT)
+                    blob = rec["blob"]
+                    self._add_blob(BlobRef(blob["sha256"], blob["size_bytes"]))
+                elif kind == "derived":
+                    field = _shaped(rec, _DERIVED) and DERIVED_FIELDS.get(rec["kind"])
+                    value = field and rec["fields"].get(field.key)
+                    _require(field and rec["local_id"] == self._next_derived
+                             and 1 <= rec["image_local_id"] <= len(images)
+                             and type(value) in _NUMBER[field.encoding], kind, pos)
+                    latest[rec["kind"]][rec["image_local_id"] - 1] = value
+                    self._next_derived += 1
+                elif kind == "job":
+                    _require(type(rec) is dict and type(rec.get("job_id")) is str, kind, pos)
+                    self._jobs[rec["job_id"]] = rec
+                elif kind != "annotation":  # older versions logged annotations; nothing reads them
+                    raise InvariantViolation(f"unknown record kind {kind!r} in log")
+            if good < len(data):
+                try:
+                    os.truncate(self._log_path, good)
+                except OSError as exc:
+                    raise IoFailure(f"cutting the torn tail of {self._log_path}: {exc}") from exc
+        try:
+            self._patient = _arrays(_PATIENT_SLOT, list(patients.values()))
+            self._image = _arrays(_IMAGE_SLOT, images)
+            for kind, values in latest.items():
+                self._put_derived(kind, list(values), list(values.values()))
+        except OverflowError as exc:  # a logged int past its column's dtype
+            raise IntegrityError(f"a logged value does not fit its column: {exc}") from None
 
-    def _apply(self, kind: str, rec: dict) -> None:
-        if kind == "patient":
-            patient = PatientRecord(**rec)
-            self._patients[patient.pid] = patient
-        elif kind == "image":
-            rec = dict(rec, blob=BlobRef(**rec["blob"]))
-            image = ImageRecord(**rec)
-            self._images[image.local_id] = image
-            self._image_by_blob[image.blob.sha256] = image.local_id
-            self._next_image = max(self._next_image, image.local_id + 1)
-        elif kind == "derived":
-            derived = DerivedRecord(**rec)
-            self._num_derived += 1
-            self._latest[(derived.image_local_id, derived.kind)] = derived
-            self._next_derived = max(self._next_derived, derived.local_id + 1)
-        elif kind == "job":
-            self._jobs[rec["job_id"]] = rec
-        elif kind != "annotation":  # older versions logged annotations; nothing reads them
-            raise InvariantViolation(f"unknown record kind {kind!r} in log")
+    # --- encoders: logged records into columns ----------------------------------------
+
+    def _code(self, name: str, value: str) -> int:
+        """``value``'s code in field ``name``'s dictionary, added if it is new."""
+        codes = self._codes[name]
+        if value not in codes:
+            codes[value] = len(codes)
+            self._names[name].append(value)
+        return codes[value]
+
+    def _encode(self, fields: list, rec: dict) -> list:
+        """Logged ``rec``'s values of ``fields``: strings as codes, dates as ints, None as NaN."""
+        values = []
+        for f in fields:
+            value = rec[f.key]
+            if f.encoding == "code":
+                value = self._code(f.name, value)
+            elif f.encoding == "date":
+                value = int(value)
+            elif value is None:
+                value = math.nan
+            values.append(value)
+        return values
+
+    def _add_blob(self, blob: BlobRef) -> None:
+        self._slot_by_sha[blob.sha256] = len(self._blobs)
+        self._blobs.append(blob)
+
+    def _put_derived(self, kind: str, slots: list, values: list) -> None:
+        """Make ``values`` the latest of ``kind`` at image ``slots``."""
+        self._image["derived.kind"][slots] |= _BIT[kind]
+        self._image[DERIVED_FIELDS[kind].name][slots] = values
 
     # --- records -----------------------------------------------------------
 
     def upsert_patient(self, patient: PatientRecord) -> None:
         patient.validate()
         with self._lock:
-            self._append("patient", asdict(patient))
-            self._patients[patient.pid] = patient
-            if self._columns is not None:
-                self._columns.set_patient(patient)
+            rec = self._append("patient", asdict(patient))
+            slot = self._code("patient.id", rec["pid"])
+            _put(self._patient, slot, self._encode(_PATIENT_SLOT, rec))
 
     def insert_image(self, image: ImageRecord) -> int:
         with self._lock:
-            if image.pid not in self._patients:
+            if image.pid not in self._codes["patient.id"]:
                 raise UnknownPatient(f"no patient {image.pid}")
-            image.local_id = self._next_image
+            image.local_id = len(self._blobs) + 1
             image.validate()
-            self._append("image", asdict(image))
-            self._apply_image(image)
-            if self._columns is not None:
-                self._columns.add_image(image)
+            rec = self._append("image", asdict(image))
+            _put(self._image, len(self._blobs), self._encode(_IMAGE_OWN, rec) + _ABSENT)
+            self._add_blob(image.blob)
             return image.local_id
 
     def add_image(self, data: bytes, patient: PatientRecord,
@@ -386,54 +375,45 @@ class SiteStore:
             self.upsert_patient(patient)
             return self.insert_image(image), False
 
-    def _apply_image(self, image: ImageRecord) -> None:
-        self._images[image.local_id] = image
-        self._image_by_blob[image.blob.sha256] = image.local_id
-        self._next_image = image.local_id + 1
-
     def insert_derived(self, derived: DerivedRecord) -> int:
         with self._lock:
-            if derived.image_local_id not in self._images:
+            if not 1 <= derived.image_local_id <= len(self._blobs):
                 raise UnknownImage(f"no image {derived.image_local_id}")
             derived.local_id = self._next_derived
             derived.validate()
             self._append("derived", asdict(derived))
-            self._num_derived += 1
-            self._latest[(derived.image_local_id, derived.kind)] = derived
+            value = derived.fields[DERIVED_FIELDS[derived.kind].key]
+            self._put_derived(derived.kind, [derived.image_local_id - 1], [value])
             self._next_derived += 1
-            if self._columns is not None:
-                self._columns.set_derived(derived)
             return derived.local_id
 
     # --- lookups ---------------------------------------------------------------
 
     def patient(self, pid: str) -> PatientRecord:
         with self._lock:
-            try:
-                return self._patients[pid]
-            except KeyError:
-                raise UnknownPatient(f"no patient {pid}") from None
+            slot = self._codes["patient.id"].get(pid)
+            if slot is None:
+                raise UnknownPatient(f"no patient {pid}")
+            got = {f.key: self._decode(f, self._patient[f.name][[slot]])[0] for f in _PATIENT_SLOT}
+            return PatientRecord(pid=pid, **{key: None if v != v else v  # NaN: absent
+                                             for key, v in got.items()})
 
-    def image(self, local_id: int) -> ImageRecord:
+    def blob(self, local_id: int) -> BlobRef:
         with self._lock:
-            try:
-                return self._images[local_id]
-            except KeyError:
-                raise UnknownImage(f"no image {local_id}") from None
+            if not 1 <= local_id <= len(self._blobs):
+                raise UnknownImage(f"no image {local_id}")
+            return self._blobs[local_id - 1]
 
     def find_image_by_blob(self, sha256: str) -> Optional[int]:
         with self._lock:
-            return self._image_by_blob.get(sha256)
-
-    def latest_derived(self, image_local_id: int, kind: str) -> Optional[DerivedRecord]:
-        with self._lock:
-            return self._latest.get((image_local_id, kind))
+            slot = self._slot_by_sha.get(sha256)
+            return None if slot is None else slot + 1
 
     def derived_history(self, image_local_id: int, kind: str) -> list[DerivedRecord]:
         """Every version of one image's derived record, oldest first, read from the log."""
         with self._lock:
             data = self._log_path.read_bytes()
-        return [DerivedRecord(**rec) for entry_kind, rec, _ in _frames(data)
+        return [DerivedRecord(**rec) for entry_kind, rec, *_ in _frames(data)
                 if entry_kind == "derived" and rec["image_local_id"] == image_local_id
                 and rec["kind"] == kind]
 
@@ -453,88 +433,119 @@ class SiteStore:
         with self._lock:
             return dict(self._jobs)
 
-    # --- scans ----------------------------------------------------------------------
+    # --- queries ----------------------------------------------------------------------
 
-    def _joined_row(self, image: ImageRecord) -> dict:
-        patient = self._patients[image.pid]
-        row = {
-            "patient.id": patient.pid,
-            "patient.sex": patient.sex,
-            "patient.age": image.age_at_study,
-            "image.laterality": image.laterality,
-            "image.view": image.view,
-            "image.modality": image.modality,
-            "image.study_date": image.study_date,
-            "_local_id": image.local_id,
-            "_pid": patient.pid,
-            "_blob": image.blob,
-        }
-        if patient.height_m is not None:
-            row["patient.height_m"] = patient.height_m
-        if patient.weight_kg is not None:
-            row["patient.weight_kg"] = patient.weight_kg
-        kinds = []
-        smf = self._latest.get((image.local_id, "smf"))
-        if smf is not None:
-            kinds.append("smf")
-            row["derived.density_pct"] = smf.fields["density_pct"]
-        cade = self._latest.get((image.local_id, "cade"))
-        if cade is not None:
-            kinds.append("cade")
-            row["derived.num_findings"] = cade.fields["num_findings"]
-        if kinds:
-            row["derived.kind"] = tuple(kinds)
-        return row
+    def _raw(self, field, slots, patients) -> np.ndarray:
+        """``field``'s encoded values at image ``slots``, whose patient codes are ``patients``."""
+        if field.name == "patient.id":
+            return patients
+        if field.record == "patient":
+            return self._patient[field.name][patients]
+        return self._image[field.name][slots]
 
-    def _patient_row(self, pid: str) -> dict:
-        patient = self._patients[pid]
-        row = {
-            "patient.id": patient.pid,
-            "patient.sex": patient.sex,
-            "_pid": patient.pid,
-        }
-        if patient.height_m is not None:
-            row["patient.height_m"] = patient.height_m
-        if patient.weight_kg is not None:
-            row["patient.weight_kg"] = patient.weight_kg
-        return row
+    def _decode(self, field, raw: np.ndarray) -> list:
+        values = raw.tolist()
+        if field.encoding == "code":
+            return list(map(self._names[field.name].__getitem__, values))
+        if field.encoding == "date":
+            return list(map("%08d".__mod__, values))
+        if field.encoding == "kind":
+            return list(map(_KIND_SETS.__getitem__, values))
+        return values
+
+    def _mask(self, node: Expr) -> np.ndarray:
+        """The images ``node`` selects, as a boolean array."""
+        if isinstance(node, And):
+            return self._mask(node.left) & self._mask(node.right)
+        if isinstance(node, Or):
+            return self._mask(node.left) | self._mask(node.right)
+        if isinstance(node, Not):
+            return ~self._mask(node.expr)
+        return self._pred(node)
+
+    def _pred(self, pred: Pred) -> np.ndarray:
+        """One predicate; an absent value makes it false."""
+        field, op, literal = FIELDS[pred.field], pred.op, pred.value
+        n = len(self._blobs)
+        if field.encoding == "kind":  # = tests membership; != that some other kind is present
+            bits = sum(bit for kind, bit in _BIT.items() if (kind == literal) == (op == "="))
+            return (self._image["derived.kind"][:n] & bits) != 0
+        slots = slice(0, n)
+        values = self._raw(field, slots, self._image["patient.id"][:n])
+        if field.encoding == "code":
+            code = self._codes[field.name].get(literal)
+            if code is None:  # no record holds this string
+                return np.full(n, op == "!=")
+            return _compare(values, op, code)
+        if field.encoding == "date":
+            literal = tuple(map(int, literal)) if op == "in" else int(literal)
+        if op == "in":
+            hit = _compare(values, ">=", literal[0]) & _compare(values, "<=", literal[1])
+        else:
+            hit = _compare(values, op, literal)
+        if field.optional:
+            hit &= _present(field, values, self._image["derived.kind"][:n])
+        return hit
+
+    def _one_per_patient(self, slots: np.ndarray) -> np.ndarray:
+        """One of image ``slots`` for each distinct patient of those images, in pid order."""
+        codes, first = np.unique(self._image["patient.id"][slots], return_index=True)
+        pids = [self._names["patient.id"][code] for code in codes.tolist()]
+        return slots[first][sorted(range(len(pids)), key=pids.__getitem__)]
+
+    def _rows(self, slots: np.ndarray, target: str) -> list[dict]:
+        """The rows of image ``slots``, built column by column; optional keys where present.
+
+        An image row holds every stored field, ``_local_id``, ``_pid`` and ``_blob``;
+        a ``"patients"`` row holds the patient's fields and ``_pid``.
+        """
+        patients = self._image["patient.id"][slots].astype(np.intp)  # int32 indexes slower
+        kinds = self._image["derived.kind"][slots]
+        pids, blobs = self._decode(FIELDS["patient.id"], patients), self._blobs
+        if target == "images":
+            rows = [{"_pid": pid, "patient.id": pid, "_local_id": slot + 1, "_blob": blobs[slot]}
+                    for pid, slot in zip(pids, slots.tolist())]
+        else:
+            rows = [{"_pid": pid, "patient.id": pid} for pid in pids]
+        for f in _ROW_FIELDS[target]:
+            raw = self._raw(f, slots, patients)
+            if not f.optional:
+                for row, value in zip(rows, self._decode(f, raw)):  # beats dict(zip())
+                    row[f.name] = value
+                continue
+            where = _present(f, raw, kinds).nonzero()[0]
+            for i, value in zip(where.tolist(), self._decode(f, raw[where])):
+                rows[i][f.name] = value
+        return rows
 
     def select(self, expr: Optional[Expr], target: str = "images") -> list[dict]:
         """The rows of the images ``expr`` selects; ``None`` selects every image.
 
-        The same rows ``scan`` builds, in the same order, but ``expr`` is
-        evaluated as one mask over the columns and rows are built only for
-        the images it selects. ``target="patients"`` projects their distinct
-        patients. The expression must hold no ``site.id`` predicate.
+        ``expr`` is evaluated as one mask over the columns, and rows are built
+        only for the images it selects, in local-id order. ``target="patients"``
+        projects their distinct patients, in pid order. The expression must
+        hold no ``site.id`` predicate.
         """
         with self._lock:
-            if self._columns is None:
-                self._columns = _Columns(self._patients, self._images, self._latest)
-            columns = self._columns
-            hit = slice(None) if expr is None else columns.mask(expr)
-            if target == "images":
-                return [self._joined_row(self._images[local_id])
-                        for local_id in columns.column("local_id")[hit].tolist()]
-            codes = np.unique(columns.column("patient.id")[hit]).tolist()
-            return [self._patient_row(pid) for pid in sorted(columns.pids[c] for c in codes)]
+            n = len(self._blobs)
+            slots = np.arange(n) if expr is None else np.flatnonzero(self._mask(expr))
+            if target == "patients":
+                slots = self._one_per_patient(slots)
+            return self._rows(slots, target)
 
     def scan(self, pred: Optional[Callable[[dict], bool]], target: str = "images") -> list[dict]:
-        """Joined rows (patient x image x latest derived per kind) matching pred.
+        """The rows of ``select(None)`` that ``pred`` accepts; ``None`` accepts all.
 
-        ``target="patients"`` projects the distinct patients whose joined rows
-        matched, ordered by pid; image rows come back in local_id order.
-        Queries use ``select``; this row-at-a-time form serves ``dump_rows``.
+        ``target="patients"`` projects the distinct patients whose image rows
+        matched, ordered by pid; image rows come back in local-id order.
+        Queries use ``select``; this filter serves ``dump_rows``.
         """
         with self._lock:
-            matched = []
-            for local_id in sorted(self._images):
-                row = self._joined_row(self._images[local_id])
-                if pred is None or pred(row):
-                    matched.append(row)
+            rows = [row for row in self.select(None) if pred is None or pred(row)]
             if target == "images":
-                return matched
-            pids = sorted({row["_pid"] for row in matched})
-            return [self._patient_row(pid) for pid in pids]
+                return rows
+            slots = np.array([row["_local_id"] - 1 for row in rows], np.intp)
+            return self._rows(self._one_per_patient(slots), target)
 
     def dump_rows(self, target: str = "images") -> list[dict]:
         return self.scan(None, target)
@@ -544,9 +555,9 @@ class SiteStore:
             self._log.flush()
             meta_size = self._log_path.stat().st_size if self._log_path.exists() else 0
             return SiteStats(
-                num_patients=len(self._patients),
-                num_image_files=len(self._images),
-                num_derived_files=self._num_derived,
+                num_patients=len(self._names["patient.id"]),
+                num_image_files=len(self._blobs),
+                num_derived_files=self._next_derived - 1,
                 metadata_size_bytes=meta_size,
                 blob_storage_size_bytes=self._blob_bytes,
             )

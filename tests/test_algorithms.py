@@ -66,6 +66,11 @@ def test_descriptor_validation():
             "calc-v1", "microcalc", {"threshold": 200, "min_area": 9, "max_area": 4}))
 
 
+def test_an_algo_id_with_a_trailing_newline_is_refused():
+    with pytest.raises(BadParams):
+        alg.validate_descriptor(alg.AlgorithmDescriptor("density-v1\n", "density"))
+
+
 def test_descriptor_version():
     assert alg.AlgorithmDescriptor("density-v3", "density").version == 3
 
@@ -183,10 +188,16 @@ def test_microcalc_area_filters():
 
 # --- the run labeller against references ----------------------------------------------
 
+def components(mask):
+    """``alg._component_arrays`` as a list of (area, (x0, y0, x1, y1))."""
+    area, *box = alg._component_arrays(mask)
+    return list(zip(area.tolist(), zip(*(a.tolist() for a in box))))
+
+
 def flood_fill(mask):
     """Reference labelling: a pixel-by-pixel 8-connected flood fill.
 
-    Same contract as ``alg._components``: (area, (x0, y0, x1, y1)) per
+    Same contract as ``components``: (area, (x0, y0, x1, y1)) per
     component, in the row-major order of each component's first pixel.
     """
     height, width = mask.shape
@@ -218,7 +229,7 @@ def assert_labels_match(pixels, threshold):
     """The labeller and plugin_microcalc agree with the flood fill exactly."""
     mask = pixels > threshold
     want = flood_fill(mask)
-    assert alg._components(mask) == want
+    assert components(mask) == want
     for lo, hi in ((1, 64), (1, max(pixels.size, 1)), (3, 10)):
         boxes = [box for area, box in want if lo <= area <= hi]
         boxes.sort(key=lambda b: (b[1], b[0]))
@@ -281,9 +292,9 @@ def test_labeller_matches_flood_fill_on_edge_shapes():
     for mask in masks:
         assert_labels_match(mask.astype(np.uint8) * 255, 0)
 
-    assert alg._components(checker) == [(checker.sum(), (0, 0, 31, 33))]
-    assert len(alg._components(serpentine(201, 50))) == 1
-    assert alg._components(np.zeros((0, 5), dtype=bool)) == []
+    assert components(checker) == [(checker.sum(), (0, 0, 31, 33))]
+    assert len(components(serpentine(201, 50))) == 1
+    assert components(np.zeros((0, 5), dtype=bool)) == []
 
 
 def test_labeller_matches_flood_fill_on_16_bit_images():
@@ -308,7 +319,7 @@ def test_labeller_matches_scipy_label():
         areas = np.bincount(labels.ravel(), minlength=count + 1)[1:]
         want = [(int(area), (cols.start, rows.start, cols.stop, rows.stop))
                 for area, (rows, cols) in zip(areas, ndimage.find_objects(labels))]
-        assert alg._components(mask) == want
+        assert components(mask) == want
 
 
 def test_decode_pixels_8_and_16_bit():
@@ -494,9 +505,10 @@ def test_run_task_writes_derived_records(tmp_path, closing):
     outcome = alg.run_task(store, "site_a", algo, selector(), job_id="JOB9")
     assert outcome == {"state": alg.TASK_DONE, "images_selected": 2,
                        "derived_written": 2, "error": None}
-    assert store.latest_derived(1, "smf").fields["density_pct"] == 0.0
-    assert store.latest_derived(2, "smf").fields["density_pct"] == 50.0
-    assert store.latest_derived(2, "smf").job_id == "JOB9"
+    assert [row["derived.density_pct"] for row in store.dump_rows()] == [0.0, 50.0]
+    assert store.derived_history(1, "smf")[-1].fields["density_pct"] == 0.0
+    assert store.derived_history(2, "smf")[-1].fields["density_pct"] == 50.0
+    assert store.derived_history(2, "smf")[-1].job_id == "JOB9"
 
 
 def test_run_task_empty_selection_is_done(tmp_path, closing):
@@ -510,7 +522,7 @@ def test_run_task_empty_selection_is_done(tmp_path, closing):
 def test_run_task_stops_at_first_bad_image(tmp_path, closing):
     arrays = [np.full((4, 4), n * 40, dtype=np.uint8) for n in range(3)]
     store = closing(_store_with_images(tmp_path, arrays))
-    victim = store.image(2).blob
+    victim = store.blob(2)
     path = tmp_path / "blobs" / victim.sha256[:2] / victim.sha256
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0x80
@@ -523,8 +535,9 @@ def test_run_task_stops_at_first_bad_image(tmp_path, closing):
     assert outcome["derived_written"] == 1  # image 1 was already written
     assert outcome["error"].startswith("image site_a:2:")
     assert "hash" in outcome["error"]
-    assert store.latest_derived(1, "smf") is not None
-    assert store.latest_derived(3, "smf") is None  # never reached
+    assert store.derived_history(1, "smf") != []
+    assert store.derived_history(3, "smf") == []  # never reached
+    assert ["derived.kind" in row for row in store.dump_rows()] == [True, False, False]
 
 
 def test_rerun_supersedes_previous_results(tmp_path, closing):
@@ -535,7 +548,7 @@ def test_rerun_supersedes_previous_results(tmp_path, closing):
     v2 = alg.AlgorithmDescriptor("density-v2", "density", {"threshold": 240})
     alg.run_task(store, "site_a", v1, selector(), job_id="J1")
     alg.run_task(store, "site_a", v2, selector(), job_id="J2")
-    latest = store.latest_derived(1, "smf")
+    latest = store.derived_history(1, "smf")[-1]
     assert latest.algo_id == "density-v2"
     assert latest.fields["density_pct"] == 6.25  # 1 of 16 above 240
     assert len(store.derived_history(1, "smf")) == 2
@@ -608,7 +621,7 @@ def test_job_partial_when_remote_site_fails(vo):
     vo.algo_add("site_a", "density-v1", "density")
     # corrupt site_b's only blob on disk
     store = vo.nodes["site_b"].store
-    victim = store.image(1).blob
+    victim = store.blob(1)
     path = vo.workdir / "site_b" / "blobs" / victim.sha256[:2] / victim.sha256
     raw = bytearray(path.read_bytes())
     raw[200] ^= 0xFF
@@ -704,7 +717,7 @@ site = site_b b.sim:7002 latency=3000
     assert by_site["site_b"]["state"] == alg.TASK_FAILED
     assert "dispatch failed" in by_site["site_b"]["error"]
     # what the late peer wrote stays: the log does not roll back
-    assert vo.nodes["site_b"].store.latest_derived(1, "smf").job_id == job_id
+    assert vo.nodes["site_b"].store.derived_history(1, "smf")[-1].job_id == job_id
 
 
 def test_peers_send_no_request_while_running_a_task(tmp_path, closing):

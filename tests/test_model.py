@@ -123,6 +123,12 @@ def test_patient_record_validation():
         current_year=2005)
 
 
+def test_a_pid_with_a_trailing_newline_is_refused():
+    with pytest.raises(InvariantViolation):
+        model.PatientRecord(pid="0123456789abcdef\n", sex="F", birth_year=1960).validate()
+    assert model.PSEUDONYM_RE.match("0123456789abcdef\n") is None
+
+
 def test_image_record_validation():
     from mgvo.store import BlobRef
 

@@ -1,6 +1,7 @@
 """Auth tokens, wire framing, registry and node services, and real sockets."""
 
 import hashlib
+import json
 import re
 import socket
 import struct
@@ -314,7 +315,24 @@ def test_registry_persists_across_restart(tmp_path):
 def test_registry_unknown_op(tmp_path):
     reg = make_registry(tmp_path)
     token = login(reg)
-    assert ask_error(reg, "Add", token, {}) == "BadFrame"
+    assert ask_error(reg, "Add", token, {}) == "UnknownOp"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda state: state["sites"][0].pop("display_name"),
+    lambda state: state["sites"].append("site_b"),
+    lambda state: state["algorithms"][0].pop("kind"),
+], ids=["site without display_name", "site not an object", "algorithm without kind"])
+def test_a_malformed_registry_file_is_an_integrity_error(tmp_path, edit):
+    reg = make_registry(tmp_path)
+    token = login(reg)
+    ask(reg, "RegisterSite", token, {"site_id": "site_a", "address": "a.sim:7001"})
+    ask(reg, "AddAlgorithm", token, {"algo_id": "density-v1", "kind": "density"})
+    state = json.loads(reg.state_path.read_text(encoding="utf-8"))
+    edit(state)
+    reg.state_path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(IntegrityError, match="registry.json"):
+        Registry(tmp_path / "registry", VO_SECRET, clock=FakeClock())
 
 
 # --- node service over the simulated network -----------------------------------
@@ -432,6 +450,14 @@ def test_node_unknown_op(vo):
     assert err.value.code == "UnknownOp"
 
 
+def test_registry_unknown_op_is_answered_as_a_node_answers(vo):
+    request = wire.make_request("Frobnicate", node_token(vo), {})
+    for service in (vo.registry, vo.nodes["site_a"]):
+        with pytest.raises(RemoteError) as err:
+            wire.unwrap(service.handle_request(request))
+        assert err.value.code == "UnknownOp"
+
+
 def test_node_does_not_serve_task_result(vo):
     # a remote task's outcome is its RunTask reply; no callback op exists
     node = vo.nodes["site_a"]
@@ -503,7 +529,7 @@ def test_malformed_peer_part_is_a_bad_response(vo, monkeypatch, reply):
 def test_add_stores_the_blob_under_its_content_hash(vo):
     gfid, _ = vo.add("site_a", sample_file(patient="P-A"))
     store = vo.nodes["site_a"].store
-    ref = store.image(int(gfid.split(":")[1])).blob
+    ref = store.blob(int(gfid.split(":")[1]))
     path = store._blob_path(ref.sha256)
     assert path.name == ref.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     assert ref.size_bytes == path.stat().st_size
